@@ -7,6 +7,8 @@ truth from the source construction; they are checked exhaustively by tests,
 never recomputed.
 """
 
+from .core import order_closure
+
 B_ORDER = {"e": 0, "ic": 1, "r": 2}
 
 S_ELEMS = ("w", "i", "e", "r", "crw", "cr", "bot")
@@ -28,20 +30,7 @@ _S_SHARP = {"w": "w", "i": "w", "e": "e", "r": "r", "crw": "crw", "bot": "bot"}
 _S_COVERS = [("w", "i"), ("i", "e"), ("e", "r"), ("e", "crw"), ("r", "cr"), ("crw", "cr"), ("cr", "bot")]
 
 
-def _transitive_closure(pairs, elems):
-    leq = {(x, x) for x in elems}
-    leq.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(leq):
-            for y2, z in list(leq):
-                if y == y2 and (x, z) not in leq:
-                    leq.add((x, z))
-                    changed = True
-    return leq
-
-_S_LEQ = _transitive_closure(_S_COVERS, S_ELEMS)
+_S_LEQ = order_closure(_S_COVERS, S_ELEMS)
 
 
 def s_product(x, y):

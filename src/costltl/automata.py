@@ -10,7 +10,7 @@ the initial/final overlap rule.
 
 from dataclasses import dataclass
 
-from .core import INF, Alphabet
+from .core import FORMAT_HEADER, INF, Alphabet, least, read_lines
 from .actions import b_seq_value, contract_max
 
 B_TOKENS = ("e", "ic", "r")
@@ -70,16 +70,10 @@ def validate(aut):
     return diags
 
 
-def _max_increments(aut):
-    m = 0
-    seqs = [seq for _, _, actions, _ in aut.transitions for seq in actions]
-    for options in aut.exits.values():
-        for actions in options:
-            seqs.extend(actions)
-    inc = "ic" if aut.kind == "B" else "i"
-    for seq in seqs:
-        m = max(m, sum(1 for a in seq if a == inc))
-    return m
+def _max_increments(steps):
+    """Most increments (ic or i) that one sequence of the action tuples makes."""
+    counts = [sum(1 for a in seq if a in ("ic", "i")) for actions in steps for seq in actions]
+    return max(counts, default=0)
 
 
 def _outgoing(aut):
@@ -112,19 +106,42 @@ def eval_b(aut, u):
     """inf over accepting runs of the max checked counter value."""
     if aut.kind != "B":
         raise ValueError("eval_b needs a B-automaton")
+    return _eval(aut, u)
+
+
+def eval_s(aut, u):
+    """sup over accepting runs of the min checked counter value."""
+    if aut.kind != "S":
+        raise ValueError("eval_s needs an S-automaton")
+    return _eval(aut, u)
+
+
+def _eval(aut, u):
     aut.alphabet.check_word(u)
     if not u:
         return _eval_epsilon(aut)
     if not _has_accepting_run(aut, u):
+        return INF if aut.kind == "B" else 0
+    steps = [actions for _, _, actions, _ in aut.transitions]
+    steps += [actions for options in aut.exits.values() for actions in options]
+    bound = (len(u) + 1) * _max_increments(steps)
+    return _value(aut.kind, bound, lambda n: _feasible(aut, u, n))
+
+
+def _value(kind, bound, feasible):
+    """A run value from its threshold test, which is monotone in n and exact
+    up to bound: for B the least n at which some run checks no value above n,
+    for S the greatest n at which some run checks no value below n."""
+    if kind == "B":
+        return least(feasible, bound)
+    if feasible(bound + 1):
         return INF
-    bound = (len(u) + 1) * _max_increments(aut)
-    for n in range(bound + 1):
-        if _b_feasible(aut, u, n):
-            return n
-    return INF
+    return least(lambda n: not feasible(n + 1), bound)
 
 
-def _b_apply(counters, actions, n):
+def _apply(counters, actions, n):
+    """Counters after one action sequence per counter at threshold n, or None
+    when a check fails: ic fails above n, i saturates at n, cr fails below n."""
     cs = list(counters)
     for gamma, seq in enumerate(actions):
         for a in seq:
@@ -132,55 +149,7 @@ def _b_apply(counters, actions, n):
                 cs[gamma] += 1
                 if cs[gamma] > n:
                     return None
-            elif a == "r":
-                cs[gamma] = 0
-    return tuple(cs)
-
-
-def _b_feasible(aut, u, n):
-    out = _outgoing(aut)
-    zero = (0,) * aut.counters
-    layer = {(q, zero) for q in aut.initial}
-    for a in u:
-        nxt = set()
-        for q, cs in layer:
-            for _, _, actions, dst in out.get((q, a), ()):
-                cs2 = _b_apply(cs, actions, n)
-                if cs2 is not None:
-                    nxt.add((dst, cs2))
-        layer = nxt
-        if not layer:
-            return False
-    for q, cs in layer:
-        for actions in aut.exits.get(q, ()):
-            if _b_apply(cs, actions, n) is not None:
-                return True
-    return False
-
-
-def eval_s(aut, u):
-    """sup over accepting runs of the min checked counter value."""
-    if aut.kind != "S":
-        raise ValueError("eval_s needs an S-automaton")
-    aut.alphabet.check_word(u)
-    if not u:
-        return _eval_epsilon(aut)
-    if not _has_accepting_run(aut, u):
-        return 0
-    bound = (len(u) + 1) * _max_increments(aut)
-    if _s_feasible(aut, u, bound + 1):
-        return INF
-    n = 0
-    while _s_feasible(aut, u, n + 1):
-        n += 1
-    return n
-
-
-def _s_apply(counters, actions, n):
-    cs = list(counters)
-    for gamma, seq in enumerate(actions):
-        for a in seq:
-            if a == "i":
+            elif a == "i":
                 cs[gamma] = min(cs[gamma] + 1, n)
             elif a == "r":
                 cs[gamma] = 0
@@ -191,8 +160,8 @@ def _s_apply(counters, actions, n):
     return tuple(cs)
 
 
-def _s_feasible(aut, u, n):
-    """Is there an accepting run in which every check sees a value >= n?"""
+def _feasible(aut, u, n):
+    """Is there an accepting run on which every check passes at threshold n?"""
     out = _outgoing(aut)
     zero = (0,) * aut.counters
     layer = {(q, zero) for q in aut.initial}
@@ -200,7 +169,7 @@ def _s_feasible(aut, u, n):
         nxt = set()
         for q, cs in layer:
             for _, _, actions, dst in out.get((q, a), ()):
-                cs2 = _s_apply(cs, actions, n)
+                cs2 = _apply(cs, actions, n)
                 if cs2 is not None:
                     nxt.add((dst, cs2))
         layer = nxt
@@ -208,7 +177,7 @@ def _s_feasible(aut, u, n):
             return False
     for q, cs in layer:
         for actions in aut.exits.get(q, ()):
-            if _s_apply(cs, actions, n) is not None:
+            if _apply(cs, actions, n) is not None:
                 return True
     return False
 
@@ -219,7 +188,7 @@ def eval_s_at_least(aut, u, n):
         return True
     if not u:
         return _eval_epsilon(aut) >= n
-    return _s_feasible(aut, u, n)
+    return _feasible(aut, u, n)
 
 
 def contract_b(aut):
@@ -313,8 +282,6 @@ def rename_states(aut, prefix="q"):
 
 # --- file format -----------------------------------------------------------
 
-FORMAT_HEADER = "costltl-format 1"
-
 
 def _fmt_actions(actions):
     if not actions:
@@ -359,15 +326,10 @@ def dumps_automaton(aut):
 
 
 def loads_automaton(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise ValueError("missing %r header" % FORMAT_HEADER)
-    if len(lines) < 2 or lines[1] != "automaton":
-        raise ValueError("not an automaton file")
     fields = {}
     transitions = []
     exit_lines = []
-    for ln in lines[2:]:
+    for ln in read_lines(text, "automaton"):
         key, _, rest = ln.partition(" ")
         if key == "trans":
             transitions.append(rest)

@@ -8,7 +8,7 @@ classification), 2 for usage or input errors.
 import argparse
 import sys
 
-from .core import INF, Alphabet
+from .core import INF, Alphabet, read_lines
 from .formula import parse, render, dualize, is_ltl, is_nltl, ParseError
 from .semantics import sem_inf, sem_sup
 from .automata import (
@@ -199,7 +199,7 @@ def _cmd_definable(args):
 
 def _corpus_formula_file(path):
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = read_lines(fh.read())
     if not lines or not lines[0].startswith("alphabet "):
         raise ValueError("formula file must start with 'alphabet <letters>'")
     alphabet = Alphabet(lines[0].split()[1])

@@ -1,10 +1,7 @@
-"""Extended naturals, alphabets, words, and sample-based cost comparison."""
+"""Extended naturals, alphabets and words, and the helpers every layer shares:
+the threshold search, the order closure and the file-format line reader."""
 
 INF = float("inf")
-
-
-def is_cost(v):
-    return v == INF or (isinstance(v, int) and v >= 0)
 
 
 class Alphabet:
@@ -58,38 +55,41 @@ def words_upto(alphabet, max_len, min_len=0):
     return out
 
 
-def count_letter(u, a, alphabet=None):
-    if alphabet is not None and a not in alphabet:
-        raise ValueError("letter %r outside alphabet" % (a,))
-    return sum(1 for b in u if b == a)
+def least(pred, hi):
+    """Least n in [0, hi] at which pred holds, or INF; a linear scan."""
+    for n in range(hi + 1):
+        if pred(n):
+            return n
+    return INF
 
 
-def empirical_alpha(f, g, words):
-    """Finite table n -> sup{f(u) : u in words, g(u) <= n}, for finite g-values seen.
+def order_closure(pairs, elems):
+    """Reflexive-transitive closure of the relation pairs over elems."""
+    leq = {(x, x) for x in elems}
+    leq.update(pairs)
+    while True:
+        above = {}
+        for x, y in leq:
+            above.setdefault(x, set()).add(y)
+        new = {(x, z) for x, y in leq for z in above.get(y, ())}
+        if new <= leq:
+            return leq
+        leq |= new
 
-    This is the Lemma 2.1 construction restricted to a sample; it is a test
-    harness, not a decision procedure for domination.
-    """
-    gvals = sorted({g(u) for u in words if g(u) != INF})
-    table = {}
-    for n in gvals:
-        sel = [f(u) for u in words if g(u) <= n]
-        table[n] = max(sel) if sel else 0
-    return table
+
+FORMAT_HEADER = "costltl-format 1"
 
 
-def check_dominance_on_sample(f, g, words, alpha):
-    """Check f(u) <= alpha(g(u)) pointwise on the sample, with alpha(inf) = inf.
-
-    alpha is a callable or a finite table. Returns (True, None) or
-    (False, first offending word).
-    """
-    if not callable(alpha):
-        table = alpha
-        alpha = lambda n: table[n]
-    for u in words:
-        gu = g(u)
-        bound = INF if gu == INF else alpha(gu)
-        if f(u) > bound:
-            return False, u
-    return True, None
+def read_lines(text, kind=None):
+    """Stripped lines of text, without blank lines and lines starting with
+    '#' (indented or not). Given a kind, the first two lines must be the
+    format header and that kind, and the lines after them are returned."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if kind is None:
+        return lines
+    if not lines or lines[0] != FORMAT_HEADER:
+        raise ValueError("missing %r header" % FORMAT_HEADER)
+    if len(lines) < 2 or lines[1] != kind:
+        raise ValueError("not a %r file" % kind)
+    return lines[2:]

@@ -16,6 +16,7 @@ congruence.
 
 from dataclasses import dataclass
 
+from .core import order_closure
 from .semigroup import StabSemigroup, Recognizer, idempotent_power
 
 
@@ -52,33 +53,6 @@ def restrict(sg, keep):
     sharp = {x: sg.sharp[x] for x in keep if x in sg.sharp and sg.mul(x, x) == x}
     neutral = sg.neutral if sg.neutral in kset else None
     return StabSemigroup(tuple(keep), product, frozenset(leq), sharp, neutral)
-
-
-def context_closure(sg):
-    """All element self-maps generated by identity, left/right multiplications
-    and s -> (s^omega)#, closed under composition. Maps are image tuples in
-    element order."""
-    elems = sg.elements
-    index = {x: i for i, x in enumerate(elems)}
-
-    def as_map(fn):
-        return tuple(fn(x) for x in elems)
-
-    generators = {as_map(lambda s: s)}
-    for x in elems:
-        generators.add(as_map(lambda s, x=x: sg.mul(x, s)))
-        generators.add(as_map(lambda s, x=x: sg.mul(s, x)))
-    generators.add(as_map(lambda s: _omega_sharp(sg, s)))
-    closure = set(generators)
-    work = list(generators)
-    while work:
-        f = work.pop()
-        for g in list(closure):
-            for h in (tuple(f[index[v]] for v in g), tuple(g[index[v]] for v in f)):
-                if h not in closure:
-                    closure.add(h)
-                    work.append(h)
-    return closure
 
 
 def _signature(sg, ideal, x):
@@ -178,28 +152,19 @@ def _members(classes, rep_elem, rep):
 def _induced_order(elems, product, sharp):
     """Least partial order with e# <= e, closed under product compatibility,
     sharp monotonicity, and transitivity. Raises if antisymmetry fails."""
-    leq = {(x, x) for x in elems}
-    leq.update((es, e) for e, es in sharp.items())
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(leq):
+    leq = {(es, e) for e, es in sharp.items()}
+    while True:
+        leq = order_closure(leq, elems)
+        new = set()
+        for (x, y) in leq:
             for z in elems:
-                for pair in ((product[(z, x)], product[(z, y)]),
-                             (product[(x, z)], product[(y, z)])):
-                    if pair not in leq:
-                        leq.add(pair)
-                        changed = True
+                new.add((product[(z, x)], product[(z, y)]))
+                new.add((product[(x, z)], product[(y, z)]))
             if x in sharp and y in sharp:
-                pair = (sharp[x], sharp[y])
-                if pair not in leq:
-                    leq.add(pair)
-                    changed = True
-        for (x, y) in list(leq):
-            for (y2, z) in list(leq):
-                if y == y2 and (x, z) not in leq:
-                    leq.add((x, z))
-                    changed = True
+                new.add((sharp[x], sharp[y]))
+        if new <= leq:
+            break
+        leq |= new
     for x in elems:
         for y in elems:
             if x != y and (x, y) in leq and (y, x) in leq:

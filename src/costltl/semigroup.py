@@ -3,7 +3,7 @@ factorization trees, sharp expressions and their boundedness classification."""
 
 from dataclasses import dataclass
 
-from .core import INF
+from .core import FORMAT_HEADER, least, order_closure, read_lines
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,7 @@ def make_semigroup(elements, product, order_pairs, sharp, neutral=None):
     """Build a StabSemigroup, closing the declared order reflexively and
     transitively. Structural sanity only; run validate_axioms for the laws."""
     elements = tuple(elements)
-    leq = {(x, x) for x in elements}
-    leq.update(order_pairs)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(leq):
-            for y2, z in list(leq):
-                if y == y2 and (x, z) not in leq:
-                    leq.add((x, z))
-                    changed = True
+    leq = order_closure(order_pairs, elements)
     return StabSemigroup(elements, dict(product), frozenset(leq), dict(sharp), neutral)
 
 
@@ -147,12 +138,17 @@ class Recognizer:
     def __post_init__(self):
         if self.height is None:
             object.__setattr__(self, "height", 3 * len(self.semigroup.elements))
+        if self.height < 1:
+            raise ValueError("recognizer height must be at least 1, got %d" % self.height)
         for s in self.ideal:
             for t in self.semigroup.elements:
                 if self.semigroup.le(t, s) and t not in self.ideal:
                     raise ValueError("ideal not downward-closed: %s <= %s" % (t, s))
 
     def image(self, u):
+        for a in u:
+            if a not in self.h:
+                raise ValueError("letter %r has no image under h" % (a,))
         return [self.h[a] for a in u]
 
 
@@ -216,10 +212,7 @@ def recognize(rec, u):
     if not u:
         raise ValueError("recognition defined on A+, not the empty word")
     w = rec.image(u)
-    for n in range(len(w) + 1):
-        if not (achievable_values(rec, w, n) & rec.ideal):
-            return n
-    return INF
+    return least(lambda n: not (achievable_values(rec, w, n) & rec.ideal), len(w))
 
 
 # --- sharp expressions -------------------------------------------------------
@@ -368,15 +361,7 @@ def classify(rec, e):
     return "F-infinity" if value in rec.ideal else "F-bounded"
 
 
-def default_instantiation_k(sg, cap=7):
-    """Lemma-style exponent |S| (used as k, with k! word repetitions), capped
-    so instantiated words stay at desk scale."""
-    return min(len(sg.elements), cap)
-
-
 # --- file format -------------------------------------------------------------
-
-FORMAT_HEADER = "costltl-format 1"
 
 
 def dumps_semigroup(sg, rec=None):
@@ -403,11 +388,6 @@ def dumps_semigroup(sg, rec=None):
 
 def loads_semigroup(text):
     """Returns (semigroup, recognizer or None)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise ValueError("missing %r header" % FORMAT_HEADER)
-    if len(lines) < 2 or lines[1] != "semigroup":
-        raise ValueError("not a semigroup file")
     elements = None
     neutral = None
     product = {}
@@ -416,7 +396,7 @@ def loads_semigroup(text):
     h = {}
     ideal = None
     height = None
-    for ln in lines[2:]:
+    for ln in read_lines(text, "semigroup"):
         key, _, rest = ln.partition(" ")
         rest = rest.strip()
         if key == "elements":
@@ -448,6 +428,18 @@ def loads_semigroup(text):
             raise ValueError("unknown field %r" % key)
     if elements is None:
         raise ValueError("missing elements")
+    references = {
+        "neutral": [] if neutral is None else [neutral],
+        "product": [x for (row, _), v in product.items() for x in (row, v)],
+        "order": [x for pair in order_pairs for x in pair],
+        "sharp": [x for pair in sharp.items() for x in pair],
+        "h": list(h.values()),
+        "ideal": list(ideal or ()),
+    }
+    for field, names in references.items():
+        for name in names:
+            if name not in elements:
+                raise ValueError("%s names undeclared element %r" % (field, name))
     sg = make_semigroup(elements, product, order_pairs, sharp, neutral)
     rec = None
     if h or ideal is not None:

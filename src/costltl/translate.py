@@ -7,7 +7,7 @@ steps carry the counter actions; they are composed into the letter transitions
 and into per-state accepting exits.
 """
 
-from .core import INF, Alphabet
+from .core import Alphabet
 from .formula import (
     Atom,
     End,
@@ -23,7 +23,7 @@ from .formula import (
     is_nltl,
     sort_key,
 )
-from .automata import CostAutomaton
+from .automata import CostAutomaton, _apply, _max_increments, _value
 
 
 def is_atomic(f):
@@ -227,37 +227,10 @@ class _Translation:
     def epsilon_value(self):
         # on the empty word every obligation starts at the end
         start = frozenset({self.phi})
-        final_events = self.end_closure(start, fresh=start)
-        if self.polarity == "B":
-            best = INF
-            for ev in final_events:
-                value = 0
-                counters = [0] * self.k
-                for j, token in ev:
-                    if token == "ic":
-                        counters[j - 1] += 1
-                        value = max(value, counters[j - 1])
-                    elif token == "r":
-                        counters[j - 1] = 0
-                best = min(best, value)
-            return best
-        best = 0
-        for ev in final_events:
-            counters = [0] * self.k
-            checked = []
-            for j, token in ev:
-                if token == "i":
-                    counters[j - 1] += 1
-                elif token == "r":
-                    counters[j - 1] = 0
-                elif token == "cr":
-                    checked.append(counters[j - 1])
-                    counters[j - 1] = 0
-            value = min(checked) if checked else INF
-            best = max(best, value)
-            if best == INF:
-                break
-        return best
+        runs = [self.events_to_actions(ev) for ev in self.end_closure(start, fresh=start)]
+        zero = (0,) * self.k
+        return _value(self.polarity, _max_increments(runs),
+                      lambda n: any(_apply(zero, actions, n) is not None for actions in runs))
 
 
 def _state_key(Y):
@@ -286,8 +259,3 @@ def nltl_to_s(phi, alphabet):
         raise ValueError("nltl_to_s expects a pure nLTL<= formula")
     return _Translation(phi, alphabet, "S").build()
 
-
-def accept_epsilon_value(phi, alphabet, polarity):
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
-    return _Translation(phi, alphabet, polarity).epsilon_value()

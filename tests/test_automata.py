@@ -7,6 +7,7 @@ from costltl import (
     INF,
     CostAutomaton,
     contract_b,
+    dualize,
     dumps_automaton,
     eval_b,
     eval_s,
@@ -14,8 +15,10 @@ from costltl import (
     load_automaton,
     loads_automaton,
     ltl_to_b,
+    nltl_to_s,
     parse,
     rename_states,
+    render,
     trim,
     validate,
 )
@@ -73,11 +76,15 @@ def test_eval_s_at_least_is_threshold_view(fixture_automata):
             assert eval_s_at_least(aut, u, n) == (v >= n), (u, n)
 
 
-def test_translated_automaton_matches_run_enumeration():
-    for text in ["!a U# END", "(b | X a) U# END", "a U# b"]:
-        aut = ltl_to_b(parse(text, AB), AB)
+def test_translated_automaton_matches_run_enumeration(corpus_formulas):
+    cases = [(text, ltl_to_b(parse(text, AB), AB))
+             for text in ["!a U# END", "(b | X a) U# END", "a U# b"]]
+    cases += [("dual of " + render(phi), nltl_to_s(dualize(phi, AB), AB))
+              for phi in corpus_formulas]
+    for name, aut in cases:
+        ev = eval_b if aut.kind == "B" else eval_s
         for u in all_words(4):
-            assert eval_b(aut, u) == enum_eval(aut, u), (text, u)
+            assert ev(aut, u) == enum_eval(aut, u), (name, u)
 
 
 def test_contract_bound_and_single_actions():

@@ -138,6 +138,37 @@ def test_corpus_runs_clean(capsys):
     assert any("bounded unbounded" in ln for ln in lines)
 
 
+def test_undeclared_semigroup_name_exits_2(capsys, tmp_path):
+    with open(fixture("counting.sg"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "bad.sg"
+    path.write_text(text.replace("h a a", "h a zz"), encoding="utf-8")
+    code, out, err = run(capsys, "semigroup", "recognize", "-s", str(path), "-w", "aab")
+    assert code == 2 and out == ""
+    assert "undeclared element 'zz'" in err
+
+
+@pytest.mark.parametrize("argv", [["-w", "aab", "--height", "0"], ["-w", "abc"]])
+def test_bad_recognizer_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, "semigroup", "recognize",
+                         "-s", fixture("counting.sg"), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_indented_comments_in_every_file_kind(capsys, tmp_path):
+    for name in ("count-letter-b.aut", "counting.sg", "bounded-sample.ltl"):
+        with open(fixture(name), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines.insert(3, "  # an indented comment")
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", str(tmp_path))
+    assert code == 0, out
+    assert [ln.split()[1] for ln in out.splitlines()] == ["ok", "ok", "ok"]
+    aut = load_automaton(str(tmp_path / "count-letter-b.aut"))
+    assert aut == load_automaton(fixture("count-letter-b.aut"))
+
+
 def test_porcelain_output_is_deterministic(capsys):
     runs = []
     for _ in range(2):

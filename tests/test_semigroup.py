@@ -5,6 +5,7 @@ import pytest
 
 from costltl import (
     INF,
+    Recognizer,
     achievable_values,
     classify,
     dumps_semigroup,
@@ -124,6 +125,31 @@ def test_loads_rejects_malformed(counting):
     text = dumps_semigroup(sg, rec).replace("ideal bot", "ideal b")
     with pytest.raises(ValueError):
         loads_semigroup(text)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("h a a", "h a zz"),
+    ("ideal bot", "ideal zz"),
+    ("order a b", "order a b\norder q bot"),
+    ("sharp a bot", "sharp a zz"),
+    ("neutral b", "neutral zz"),
+    ("product b : bot a b", "product zz : bot a b"),
+    ("product b : bot a b", "product b : bot a zz"),
+])
+def test_loads_rejects_undeclared_names(old, new):
+    with open(fixture("counting.sg"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    with pytest.raises(ValueError, match="undeclared element"):
+        loads_semigroup(text.replace(old, new))
+
+
+def test_recognizer_rejects_zero_height_and_unmapped_letter(counting):
+    sg, rec = counting
+    with pytest.raises(ValueError, match="height"):
+        Recognizer(sg, rec.h, rec.ideal, 0)
+    with pytest.raises(ValueError, match="no image"):
+        recognize(rec, "abc")
 
 
 def test_recognize_empty_word_rejected(counting):
