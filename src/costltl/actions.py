@@ -1,7 +1,7 @@
 """Counter-action algebras.
 
 B side: atomic actions e (skip), ic (increment and check), r (reset), with
-sequence valuation and max-contraction. S side: the 7-element stabilization
+max-contraction. S side: the 7-element stabilization
 semigroup of composed actions, stored as literal tables. The tables are ground
 truth from the source construction; they are checked exhaustively by tests,
 never recomputed.
@@ -72,25 +72,6 @@ def vec_leq(x, y):
 
 def neutral_vec(k):
     return ("e",) * k
-
-
-def b_seq_value(seq, start=0):
-    """Simulate a B action sequence on one counter.
-
-    Returns (max value checked, final counter value); checks record the value
-    right after each increment, 0 if nothing is checked.
-    """
-    value = 0
-    counter = start
-    for a in seq:
-        if a == "ic":
-            counter += 1
-            value = max(value, counter)
-        elif a == "r":
-            counter = 0
-        elif a != "e":
-            raise ValueError("unknown atomic B action %r" % (a,))
-    return value, counter
 
 
 def contract_max(seq):

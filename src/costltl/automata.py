@@ -8,10 +8,10 @@ word is valued by `epsilon_value` when set (translated automata), otherwise by
 the initial/final overlap rule.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import FORMAT_HEADER, INF, Alphabet, least, read_lines
-from .actions import b_seq_value, contract_max
+from .core import FORMAT_HEADER, INF, Alphabet, least, read_fields
+from .actions import contract_max
 
 B_TOKENS = ("e", "ic", "r")
 S_TOKENS = ("e", "i", "r", "cr")
@@ -76,6 +76,13 @@ def _max_increments(steps):
     return max(counts, default=0)
 
 
+def _steps(aut):
+    """The action tuples of every transition and every exit option."""
+    steps = [actions for _, _, actions, _ in aut.transitions]
+    steps += [actions for options in aut.exits.values() for actions in options]
+    return steps
+
+
 def _outgoing(aut):
     out = {}
     for t in aut.transitions:
@@ -122,9 +129,7 @@ def _eval(aut, u):
         return _eval_epsilon(aut)
     if not _has_accepting_run(aut, u):
         return INF if aut.kind == "B" else 0
-    steps = [actions for _, _, actions, _ in aut.transitions]
-    steps += [actions for options in aut.exits.values() for actions in options]
-    bound = (len(u) + 1) * _max_increments(steps)
+    bound = (len(u) + 1) * _max_increments(_steps(aut))
     return _value(aut.kind, bound, lambda n: _feasible(aut, u, n))
 
 
@@ -137,6 +142,15 @@ def _value(kind, bound, feasible):
     if feasible(bound + 1):
         return INF
     return least(lambda n: not feasible(n + 1), bound)
+
+
+def _runs_value(kind, counters, runs):
+    """Value of the best of runs, each an action tuple taken from zero
+    counters: the least over runs of the greatest checked value for B, the
+    greatest over runs of the least checked value for S."""
+    zero = (0,) * counters
+    return _value(kind, _max_increments(runs),
+                  lambda n: any(_apply(zero, actions, n) is not None for actions in runs))
 
 
 def _apply(counters, actions, n):
@@ -200,33 +214,16 @@ def contract_b(aut):
     """
     if aut.kind != "B":
         raise ValueError("contract_b needs a B-automaton")
-    K = 0
-    transitions = []
-    for src, letter, actions, dst in aut.transitions:
-        K = max(K, *(b_seq_value(seq)[0] for seq in actions)) if actions else K
-        transitions.append((src, letter, tuple((contract_max(seq),) for seq in actions), dst))
-    exits = {}
-    for q, options in aut.exits.items():
-        new_options = []
-        for actions in options:
-            if actions:
-                K = max(K, *(b_seq_value(seq)[0] for seq in actions))
-            new_options.append(tuple((contract_max(seq),) for seq in actions))
-        exits[q] = tuple(new_options)
-    return (
-        CostAutomaton(
-            kind="B",
-            alphabet=aut.alphabet,
-            states=aut.states,
-            initial=aut.initial,
-            final=aut.final,
-            counters=aut.counters,
-            transitions=tuple(transitions),
-            exits=exits,
-            epsilon_value=aut.epsilon_value,
-        ),
-        K,
-    )
+    K = max((_runs_value("B", aut.counters, [actions]) for actions in _steps(aut)), default=0)
+
+    def contract(actions):
+        return tuple((contract_max(seq),) for seq in actions)
+
+    transitions = tuple((src, a, contract(actions), dst)
+                        for src, a, actions, dst in aut.transitions)
+    exits = {q: tuple(contract(actions) for actions in options)
+             for q, options in aut.exits.items()}
+    return replace(aut, transitions=transitions, exits=exits), K
 
 
 def trim(aut):
@@ -250,33 +247,27 @@ def trim(aut):
     reach = closure(aut.initial, fwd)
     co = closure(aut.final, bwd)
     keep = reach & co
-    return CostAutomaton(
-        kind=aut.kind,
-        alphabet=aut.alphabet,
+    return replace(
+        aut,
         states=tuple(q for q in aut.states if q in keep),
         initial=aut.initial & keep,
         final=aut.final & keep,
-        counters=aut.counters,
         transitions=tuple(t for t in aut.transitions if t[0] in keep and t[3] in keep),
         exits={q: o for q, o in aut.exits.items() if q in keep},
-        epsilon_value=aut.epsilon_value,
     )
 
 
-def rename_states(aut, prefix="q"):
-    """Rename states to prefix0, prefix1, ... in state order (translated
-    automata have set-valued state names that do not serialize)."""
-    name = {q: "%s%d" % (prefix, i) for i, q in enumerate(aut.states)}
-    return CostAutomaton(
-        kind=aut.kind,
-        alphabet=aut.alphabet,
+def rename_states(aut):
+    """Rename states to q0, q1, ... in state order (translated automata have
+    set-valued state names that do not serialize)."""
+    name = {q: "q%d" % i for i, q in enumerate(aut.states)}
+    return replace(
+        aut,
         states=tuple(name[q] for q in aut.states),
         initial=frozenset(name[q] for q in aut.initial),
         final=frozenset(name[q] for q in aut.final),
-        counters=aut.counters,
         transitions=tuple((name[s], a, act, name[d]) for s, a, act, d in aut.transitions),
         exits={name[q]: o for q, o in aut.exits.items()},
-        epsilon_value=aut.epsilon_value,
     )
 
 
@@ -326,17 +317,10 @@ def dumps_automaton(aut):
 
 
 def loads_automaton(text):
-    fields = {}
-    transitions = []
-    exit_lines = []
-    for ln in read_lines(text, "automaton"):
-        key, _, rest = ln.partition(" ")
-        if key == "trans":
-            transitions.append(rest)
-        elif key == "exit":
-            exit_lines.append(rest)
-        else:
-            fields[key] = rest.strip()
+    fields = read_fields(text, "automaton",
+                         once=("kind", "alphabet", "states", "initial", "final",
+                               "counters", "epsilon"),
+                         many=("trans", "exit"))
     for req in ("kind", "alphabet", "states", "initial", "final", "counters"):
         if req not in fields:
             raise ValueError("missing field %r" % req)
@@ -344,7 +328,7 @@ def loads_automaton(text):
     states = tuple(fields["states"].split())
     counters = int(fields["counters"])
     trans = []
-    for rest in transitions:
+    for rest in fields["trans"]:
         head, _, actions = rest.partition(":")
         parts = head.split()
         if len(parts) != 3:
@@ -352,18 +336,14 @@ def loads_automaton(text):
         src, letter, dst = parts
         trans.append((src, letter, _parse_actions(actions, counters), dst))
     final = frozenset(fields["final"].split())
-    empty = tuple(() for _ in range(counters))
-    exits = {q: [empty] for q in final}
-    has_custom = set()
-    for rest in exit_lines:
+    custom = {}  # final state -> its exit lines, which replace the empty exit
+    for rest in fields["exit"]:
         head, _, actions = rest.partition(":")
         q = head.strip()
         if q not in final:
             raise ValueError("exit on non-final state %r" % q)
-        if q not in has_custom:
-            exits[q] = []
-            has_custom.add(q)
-        exits[q].append(_parse_actions(actions, counters))
+        custom.setdefault(q, []).append(_parse_actions(actions, counters))
+    empty = tuple(() for _ in range(counters))
     epsilon = None
     if "epsilon" in fields:
         epsilon = INF if fields["epsilon"] == "inf" else int(fields["epsilon"])
@@ -375,7 +355,7 @@ def loads_automaton(text):
         final=final,
         counters=counters,
         transitions=tuple(trans),
-        exits={q: tuple(o) for q, o in exits.items()},
+        exits={q: tuple(custom.get(q, [empty])) for q in final},
         epsilon_value=epsilon,
     )
     diags = validate(aut)

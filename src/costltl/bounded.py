@@ -51,12 +51,26 @@ def _vec_good(sigma):
     return all(x in GOOD for x in sigma)
 
 
+def _minimal(by_pair):
+    """(src, sigma, dst) for each minimal sigma of each (src, dst) pair of
+    by_pair, which maps pairs to dicts keyed by their sigmas; a worse action
+    never helps. The order is that of insertion into by_pair."""
+    out = []
+    for (src, dst), sigmas in by_pair.items():
+        for sigma in sigmas:
+            # a lone sigma, the common case, is minimal
+            if len(sigmas) == 1 or not any(other != sigma and vec_leq(other, sigma)
+                                           for other in sigmas):
+                out.append((src, sigma, dst))
+    return out
+
+
 def contracted_edges(aut):
     """Letter transitions and accepting exits as (src, sigma, dst) edges.
 
     Exit edges target the virtual accept sink. For each (src, dst) pair only
-    the minimal sigmas are kept (a worse action never helps a witness); each
-    edge remembers one representative letter, or None for an exit.
+    the minimal sigmas are kept; each edge remembers one representative
+    letter, or None for an exit.
     """
     by_pair = {}
     for src, a, actions, dst in aut.transitions:
@@ -64,13 +78,8 @@ def contracted_edges(aut):
     for q, options in aut.exits.items():
         for actions in options:
             by_pair.setdefault((q, _ACCEPT), {}).setdefault(compose_actions(actions), None)
-    edges = []
-    for (src, dst), sigmas in by_pair.items():
-        for sigma, letter in sigmas.items():
-            if any(other != sigma and vec_leq(other, sigma) for other in sigmas):
-                continue
-            edges.append((src, sigma, dst, letter))
-    return edges
+    return [(src, sigma, dst, by_pair[(src, dst)][sigma])
+            for src, sigma, dst in _minimal(by_pair)]
 
 
 @dataclass(frozen=True)
@@ -170,13 +179,8 @@ def _minimal_triples(triples):
     the same endpoints."""
     by_pair = {}
     for p, sigma, q in triples:
-        by_pair.setdefault((p, q), set()).add(sigma)
-    keep = set()
-    for (p, q), sigmas in by_pair.items():
-        for sigma in sigmas:
-            if not any(other != sigma and vec_leq(other, sigma) for other in sigmas):
-                keep.add((p, sigma, q))
-    return frozenset(keep)
+        by_pair.setdefault((p, q), {})[sigma] = None
+    return frozenset(_minimal(by_pair))
 
 
 def _sharp_up(sigma):
@@ -270,24 +274,20 @@ def bounded_closure(aut):
     return BoundednessResult(not unbounded, None)
 
 
-def is_bounded(aut, method="onthefly"):
-    if method == "onthefly":
-        return bounded_onthefly(aut)
-    if method == "closure":
-        return bounded_closure(aut)
-    raise ValueError("unknown method %r" % (method,))
-
-
 def bounded_formula(phi, alphabet, method="onthefly"):
     """Boundedness of the cost function of a formula.
 
     An inf-semantics formula is dualized first; boundedness is invariant under
     the off-by-one of dualization.
     """
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     if is_ltl(phi):
         phi = dualize(phi, alphabet)
     elif not is_nltl(phi):
         raise ValueError("formula mixes both bounded-operator kinds")
-    return is_bounded(nltl_to_s(phi, alphabet), method)
+    aut = nltl_to_s(phi, alphabet)
+    if method == "onthefly":
+        return bounded_onthefly(aut)
+    if method == "closure":
+        return bounded_closure(aut)
+    raise ValueError("unknown method %r" % (method,))

@@ -18,7 +18,6 @@ from .automata import (
     rename_states,
     load_automaton,
     save_automaton,
-    validate,
 )
 from .translate import ltl_to_b, nltl_to_s
 from .semigroup import (
@@ -133,17 +132,15 @@ def _load_recognizer(path):
 
 
 def _cmd_semigroup(args):
-    sg, rec = load_semigroup(args.semigroup)
     if args.subcommand == "check":
-        problems = validate_axioms(sg)
+        problems = validate_axioms(load_semigroup(args.semigroup)[0])
         if problems:
             for p in problems:
                 print(p)
             return 1
         print("OK")
         return 0
-    if rec is None:
-        raise ValueError("%s has no recognizer block (h/ideal)" % args.semigroup)
+    sg, rec = _load_recognizer(args.semigroup)
     if args.height is not None:
         rec = Recognizer(sg, rec.h, rec.ideal, args.height)
     if args.subcommand == "recognize":
@@ -202,7 +199,7 @@ def _corpus_formula_file(path):
         lines = read_lines(fh.read())
     if not lines or not lines[0].startswith("alphabet "):
         raise ValueError("formula file must start with 'alphabet <letters>'")
-    alphabet = Alphabet(lines[0].split()[1])
+    alphabet = Alphabet(lines[0][len("alphabet "):].strip())
     return alphabet, [parse(ln, alphabet) for ln in lines[1:]]
 
 
@@ -223,9 +220,6 @@ def _cmd_corpus(args):
                                             ", recognizer" if rec else "")
             elif name.endswith(".aut"):
                 aut = load_automaton(path)
-                problems = validate(aut)
-                if problems:
-                    raise ValueError(problems[0])
                 detail = "%s-automaton, %d states" % (aut.kind, len(aut.states))
             elif name.endswith(".ltl"):
                 alphabet, formulas = _corpus_formula_file(path)

@@ -1,11 +1,12 @@
 """Extended naturals, alphabets and words, and the helpers every layer shares:
-the threshold search, the order closure and the file-format line reader."""
+the threshold search, the order closure and the file-format readers."""
 
 INF = float("inf")
 
 
 class Alphabet:
-    """Nonempty finite set of single-symbol letters, in declaration order."""
+    """Nonempty finite set of single-symbol, non-blank letters, in
+    declaration order."""
 
     def __init__(self, letters):
         letters = list(letters)
@@ -16,6 +17,8 @@ class Alphabet:
         for a in letters:
             if not (isinstance(a, str) and len(a) == 1):
                 raise ValueError("letters must be single symbols: %r" % (a,))
+            if a.isspace():
+                raise ValueError("blank letter %r in alphabet" % (a,))
         self.letters = tuple(letters)
 
     def __contains__(self, a):
@@ -93,3 +96,21 @@ def read_lines(text, kind=None):
     if len(lines) < 2 or lines[1] != kind:
         raise ValueError("not a %r file" % kind)
     return lines[2:]
+
+
+def read_fields(text, kind, once, many):
+    """The fields of a kind file (see read_lines) as a dict: each key of once
+    that occurs maps to its value, each key of many to the list of its values
+    in file order. An unknown key or a repeated key of once is an error."""
+    fields = {key: [] for key in many}
+    for ln in read_lines(text, kind):
+        key, _, rest = ln.partition(" ")
+        if key in many:
+            fields[key].append(rest.strip())
+        elif key not in once:
+            raise ValueError("unknown field %r" % key)
+        elif key in fields:
+            raise ValueError("repeated field %r" % key)
+        else:
+            fields[key] = rest.strip()
+    return fields

@@ -215,16 +215,13 @@ class _Parser:
 
 
 def parse(text, alphabet):
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     parser = _Parser(_tokenize(text), alphabet, len(text))
     node = parser.parse_or()
     tok = parser.peek()
     if tok is not None:
         raise ParseError("trailing input", tok[1])
-    if any(isinstance(s, UntilLeq) for s in subformulas(node)) and any(
-        isinstance(s, ReleaseGeq) for s in subformulas(node)
-    ):
+    if not (is_ltl(node) or is_nltl(node)):
         raise ParseError("formula mixes U# and R#", 0)
     return node
 
@@ -308,8 +305,7 @@ def is_nltl(node):
 def dualize(node, alphabet):
     """Negation pushed to the leaves: turns an LTL<= formula into the nLTL<=
     formula for the complement budget semantics."""
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     if not is_ltl(node):
         raise ValueError("dualize expects a pure LTL<= formula")
 

@@ -17,11 +17,7 @@ congruence.
 from dataclasses import dataclass
 
 from .core import order_closure
-from .semigroup import StabSemigroup, Recognizer, idempotent_power
-
-
-def _omega_sharp(sg, s):
-    return sg.sharp[idempotent_power(sg, s)]
+from .semigroup import StabSemigroup, Recognizer, omega_sharp
 
 
 def generated_elements(sg, seeds):
@@ -31,7 +27,7 @@ def generated_elements(sg, seeds):
     work = list(seeds)
     while work:
         x = work.pop()
-        new = {_omega_sharp(sg, x)}
+        new = {omega_sharp(sg, x)}
         for y in list(out):
             new.add(sg.mul(x, y))
             new.add(sg.mul(y, x))
@@ -69,18 +65,13 @@ def congruence_classes(sg, ideal):
     for x in elems:
         gens.append(lambda s, x=x: sg.mul(x, s))
         gens.append(lambda s, x=x: sg.mul(s, x))
-    gens.append(lambda s: _omega_sharp(sg, s))
+    gens.append(lambda s: omega_sharp(sg, s))
     block = {x: _signature(sg, ideal, x) for x in elems}
     while True:
         refined = {x: (block[x],) + tuple(block[g(x)] for g in gens) for x in elems}
-        renum = {}
-        new_block = {}
-        for x in elems:
-            key = refined[x]
-            if key not in renum:
-                renum[key] = len(renum)
-            new_block[x] = renum[key]
-        if len(set(new_block.values())) == len(set(block.values())):
+        renum = {}  # refined key -> new block number, in first-seen order
+        new_block = {x: renum.setdefault(refined[x], len(renum)) for x in elems}
+        if len(renum) == len(set(block.values())):
             classes = {}
             for x in elems:
                 classes.setdefault(new_block[x], []).append(x)
@@ -104,19 +95,18 @@ def syntactic_quotient(rec):
     ideal = frozenset(x for x in rec.ideal if x in gen)
     classes = congruence_classes(sg, ideal)
     rep = {}
-    name = {}
+    members = {}  # representative -> its class
     for cls in classes:
-        r = min(cls, key=lambda x: sg.elements.index(x))
+        r = min(cls, key=sg.elements.index)
+        members[r] = cls
         for x in cls:
             rep[x] = r
-        name[r] = r
-    class_elems = tuple(sorted({rep[x] for x in sg.elements}, key=sg.elements.index))
+    class_elems = tuple(sorted(members, key=sg.elements.index))
 
     product = {}
     for cx in class_elems:
         for cy in class_elems:
-            values = {rep[sg.mul(x, y)] for x in _members(classes, cx, rep)
-                      for y in _members(classes, cy, rep)}
+            values = {rep[sg.mul(x, y)] for x in members[cx] for y in members[cy]}
             if len(values) != 1:
                 raise ValueError("product not well-defined on the quotient")
             product[(cx, cy)] = values.pop()
@@ -124,7 +114,7 @@ def syntactic_quotient(rec):
     sharp = {}
     for cx in class_elems:
         if product[(cx, cx)] == cx:
-            values = {rep[_omega_sharp(sg, x)] for x in _members(classes, cx, rep)}
+            values = {rep[omega_sharp(sg, x)] for x in members[cx]}
             if len(values) != 1:
                 raise ValueError("sharp not well-defined on the quotient")
             sharp[cx] = values.pop()
@@ -133,20 +123,9 @@ def syntactic_quotient(rec):
     qsg = StabSemigroup(class_elems, product, frozenset(order), sharp,
                         rep.get(sg.neutral))
     q_ideal = frozenset(rep[x] for x in ideal)
-    for x in class_elems:
-        for y in q_ideal:
-            if (x, y) in order and x not in q_ideal:
-                raise ValueError("quotient ideal not downward-closed")
     q_h = {a: rep[v] for a, v in rec.h.items()}
     q_rec = Recognizer(qsg, q_h, q_ideal, rec.height)
     return Quotient(q_rec, tuple(tuple(c) for c in classes), dict(rep))
-
-
-def _members(classes, rep_elem, rep):
-    for cls in classes:
-        if rep[cls[0]] == rep_elem:
-            return cls
-    raise KeyError(rep_elem)
 
 
 def _induced_order(elems, product, sharp):

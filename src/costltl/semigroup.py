@@ -3,7 +3,7 @@ factorization trees, sharp expressions and their boundedness classification."""
 
 from dataclasses import dataclass
 
-from .core import FORMAT_HEADER, least, order_closure, read_lines
+from .core import FORMAT_HEADER, least, order_closure, read_fields
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,11 @@ def idempotent_power(sg, s):
     for _ in range(exp - 1):
         y = sg.mul(y, s)
     return y
+
+
+def omega_sharp(sg, s):
+    """(s^omega)#, the stabilization of the idempotent power of s."""
+    return sg.sharp[idempotent_power(sg, s)]
 
 
 @dataclass(frozen=True)
@@ -329,7 +334,7 @@ def eval_expr(sg, h, e):
     if isinstance(e, EOmega):
         return idempotent_power(sg, eval_expr(sg, h, e.operand))
     if isinstance(e, EOmegaSharp):
-        return sg.sharp[idempotent_power(sg, eval_expr(sg, h, e.operand))]
+        return omega_sharp(sg, eval_expr(sg, h, e.operand))
     if isinstance(e, ESharp):
         x = eval_expr(sg, h, e.operand)
         if not sg.is_idempotent(x):
@@ -388,46 +393,27 @@ def dumps_semigroup(sg, rec=None):
 
 def loads_semigroup(text):
     """Returns (semigroup, recognizer or None)."""
-    elements = None
-    neutral = None
-    product = {}
-    order_pairs = set()
-    sharp = {}
-    h = {}
-    ideal = None
-    height = None
-    for ln in read_lines(text, "semigroup"):
-        key, _, rest = ln.partition(" ")
-        rest = rest.strip()
-        if key == "elements":
-            elements = tuple(rest.split())
-        elif key == "neutral":
-            neutral = rest
-        elif key == "product":
-            row, _, vals = rest.partition(":")
-            row = row.strip()
-            vals = vals.split()
-            if elements is None or len(vals) != len(elements):
-                raise ValueError("bad product row %r" % ln)
-            for y, v in zip(elements, vals):
-                product[(row, y)] = v
-        elif key == "order":
-            x, y = rest.split()
-            order_pairs.add((x, y))
-        elif key == "sharp":
-            x, y = rest.split()
-            sharp[x] = y
-        elif key == "h":
-            a, v = rest.split()
-            h[a] = v
-        elif key == "ideal":
-            ideal = frozenset(rest.split())
-        elif key == "height":
-            height = int(rest)
-        else:
-            raise ValueError("unknown field %r" % key)
-    if elements is None:
+    fields = read_fields(text, "semigroup",
+                         once=("elements", "neutral", "ideal", "height"),
+                         many=("product", "order", "sharp", "h"))
+    if "elements" not in fields:
         raise ValueError("missing elements")
+    elements = tuple(fields["elements"].split())
+    neutral = fields.get("neutral")
+    product = {}
+    for rest in fields["product"]:
+        row, _, vals = rest.partition(":")
+        row = row.strip()
+        vals = vals.split()
+        if len(vals) != len(elements):
+            raise ValueError("bad product row %r" % rest)
+        for y, v in zip(elements, vals):
+            product[(row, y)] = v
+    order_pairs = {_pair("order", rest) for rest in fields["order"]}
+    sharp = dict(_pair("sharp", rest) for rest in fields["sharp"])
+    h = dict(_pair("h", rest) for rest in fields["h"])
+    ideal = frozenset(fields["ideal"].split()) if "ideal" in fields else None
+    height = int(fields["height"]) if "height" in fields else None
     references = {
         "neutral": [] if neutral is None else [neutral],
         "product": [x for (row, _), v in product.items() for x in (row, v)],
@@ -447,6 +433,13 @@ def loads_semigroup(text):
             raise ValueError("recognizer block needs both h and ideal")
         rec = Recognizer(sg, h, ideal, height)
     return sg, rec
+
+
+def _pair(key, rest):
+    names = rest.split()
+    if len(names) != 2:
+        raise ValueError("bad %s line %r" % (key, rest))
+    return tuple(names)
 
 
 def load_semigroup(path):

@@ -23,7 +23,7 @@ from .formula import (
     is_nltl,
     sort_key,
 )
-from .automata import CostAutomaton, _apply, _max_increments, _value
+from .automata import CostAutomaton, _runs_value
 
 
 def is_atomic(f):
@@ -228,9 +228,7 @@ class _Translation:
         # on the empty word every obligation starts at the end
         start = frozenset({self.phi})
         runs = [self.events_to_actions(ev) for ev in self.end_closure(start, fresh=start)]
-        zero = (0,) * self.k
-        return _value(self.polarity, _max_increments(runs),
-                      lambda n: any(_apply(zero, actions, n) is not None for actions in runs))
+        return _runs_value(self.polarity, self.k, runs)
 
 
 def _state_key(Y):
@@ -243,8 +241,7 @@ def _trans_key(t):
 
 def ltl_to_b(phi, alphabet):
     """Exact compilation: eval_b of the result equals sem_inf of phi."""
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     if not is_ltl(phi):
         raise ValueError("ltl_to_b expects a pure LTL<= formula")
     return _Translation(phi, alphabet, "B").build()
@@ -253,8 +250,7 @@ def ltl_to_b(phi, alphabet):
 def nltl_to_s(phi, alphabet):
     """Compilation correct up to cost equivalence: eval_s of the result and
     sem_sup of phi are bounded on the same word families."""
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     if not is_nltl(phi):
         raise ValueError("nltl_to_s expects a pure nLTL<= formula")
     return _Translation(phi, alphabet, "S").build()

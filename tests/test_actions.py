@@ -7,10 +7,9 @@ import random
 
 import pytest
 
-from costltl import load_semigroup, validate_axioms
+from costltl import Alphabet, CostAutomaton, contract_b, load_semigroup, validate_axioms
 from costltl.actions import (
     S_ELEMS,
-    b_seq_value,
     contract_max,
     s_leq,
     s_product,
@@ -97,11 +96,16 @@ def test_random_single_entry_mutations_rejected():
 
 
 def test_b_sequence_valuation():
-    # value checked and final counter value for token runs from 0
-    assert b_seq_value(()) == (0, 0)
-    assert b_seq_value(("ic", "ic", "ic")) == (3, 3)
-    assert b_seq_value(("ic", "r", "ic")) == (1, 1)
-    assert b_seq_value(("e", "ic", "e")) == (1, 1)
+    # contract_b's K is the greatest value one sequence checks from 0, on a
+    # transition or on an exit
+    for seq, value in [((), 0), (("ic", "ic", "ic"), 3), (("ic", "r", "ic"), 1),
+                       (("e", "ic", "e"), 1)]:
+        on_transition = CostAutomaton("B", Alphabet("a"), ("q",), frozenset("q"),
+                                      frozenset("q"), 1, (("q", "a", (seq,), "q"),))
+        on_exit = CostAutomaton("B", Alphabet("a"), ("q",), frozenset("q"),
+                                frozenset("q"), 1, (), {"q": ((seq,),)})
+        assert contract_b(on_transition)[1] == value
+        assert contract_b(on_exit)[1] == value
 
 
 def test_contract_max_picks_dominant_action():

@@ -14,6 +14,7 @@ from costltl import (
     eval_s_at_least,
     load_automaton,
     loads_automaton,
+    loads_semigroup,
     ltl_to_b,
     nltl_to_s,
     parse,
@@ -145,3 +146,18 @@ def test_loads_rejects_malformed_input():
         loads_automaton("not a header\n")
     with pytest.raises(ValueError):
         loads_automaton("costltl-format 1\nsemigroup\n")
+
+
+@pytest.mark.parametrize("name, extra, message", [
+    ("count-letter-b.aut", "epsilom 5", "unknown field 'epsilom'"),
+    ("count-letter-b.aut", "kind S", "repeated field 'kind'"),
+    ("counting.sg", "height 3", "repeated field 'height'"),
+    ("counting.sg", "elements bot a b", "repeated field 'elements'"),
+])
+def test_loaders_reject_unknown_and_repeated_fields(name, extra, message):
+    with open(fixture(name), encoding="utf-8") as fh:
+        text = fh.read()
+    loads = loads_automaton if name.endswith(".aut") else loads_semigroup
+    loads(text)
+    with pytest.raises(ValueError, match=message):
+        loads(text + extra + "\n")

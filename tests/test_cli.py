@@ -32,11 +32,15 @@ def test_bounded_verdicts_and_exit_codes(capsys):
                        "-f", "(b | X a | X F a) U# END", "--method", "both")
     assert code == 0
     assert out.splitlines()[0] == "bounded"
-    code, out, _ = run(capsys, "bounded", "--alphabet", "ab",
-                       "-f", "(a | X a | X F a) U# END", "--method", "both")
-    assert code == 1
-    assert out.splitlines()[0] == "unbounded"
-    assert "witness family" in out
+    # the witness follows the order of contracted_edges, which must not
+    # depend on the hash seed
+    for formula, witness in [("(a | X a | X F a) U# END", "b(b)^n (pump 3: bbbb)"),
+                             ("(a U# END) | (b U# END)", "a(ab)^n (pump 3: aababab)"),
+                             ("(a U# END) & (b U# END)", "a(a)^n (pump 3: aaaa)")]:
+        code, out, _ = run(capsys, "bounded", "--alphabet", "ab",
+                           "-f", formula, "--method", "both")
+        assert code == 1
+        assert out.splitlines() == ["unbounded", "witness family: " + witness]
 
 
 def test_error_exit_code(capsys):
@@ -177,3 +181,31 @@ def test_porcelain_output_is_deterministic(capsys):
         assert code == 1
         runs.append(out)
     assert runs[0] == runs[1] == "unbounded\n"
+
+
+def test_unknown_and_repeated_automaton_fields_exit_2(capsys, tmp_path):
+    with open(fixture("count-letter-b.aut"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "bad.aut"
+    path.write_text(text + "epsilom 5\nkind S\nkind B\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval-aut", "-a", str(path), "-w", "aab")
+    assert code == 2 and out == ""
+    assert "unknown field 'epsilom'" in err
+
+
+def test_blank_alphabet_letter_is_rejected_everywhere(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--alphabet", "a b", "-f", "!a U# END", "-w", "ab")
+    assert code == 2 and out == ""
+    assert "blank letter" in err
+    with open(fixture("count-letter-b.aut"), encoding="utf-8") as fh:
+        aut_text = fh.read()
+    assert "alphabet ab\n" in aut_text
+    (tmp_path / "spaced.aut").write_text(aut_text.replace("alphabet ab\n", "alphabet a b\n"),
+                                         encoding="utf-8")
+    (tmp_path / "spaced.ltl").write_text("alphabet a b\nb U# END\n", encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    rows = [ln.split(None, 2) for ln in out.splitlines()]
+    assert [(name, status) for name, status, _ in rows] == [("spaced.aut", "fail"),
+                                                           ("spaced.ltl", "fail")]
+    assert all("blank letter" in detail for _, _, detail in rows)
