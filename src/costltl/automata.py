@@ -8,9 +8,10 @@ word is valued by `epsilon_value` when set (translated automata), otherwise by
 the initial/final overlap rule.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
-from .core import FORMAT_HEADER, INF, Alphabet, least, read_fields
+from .core import FORMAT_HEADER, INF, Alphabet, read_fields
 from .actions import contract_max
 
 B_TOKENS = ("e", "ic", "r")
@@ -70,36 +71,6 @@ def validate(aut):
     return diags
 
 
-def _max_increments(steps):
-    """Most increments (ic or i) that one sequence of the action tuples makes."""
-    counts = [sum(1 for a in seq if a in ("ic", "i")) for actions in steps for seq in actions]
-    return max(counts, default=0)
-
-
-def _steps(aut):
-    """The action tuples of every transition and every exit option."""
-    steps = [actions for _, _, actions, _ in aut.transitions]
-    steps += [actions for options in aut.exits.values() for actions in options]
-    return steps
-
-
-def _outgoing(aut):
-    out = {}
-    for t in aut.transitions:
-        out.setdefault((t[0], t[1]), []).append(t)
-    return out
-
-
-def _has_accepting_run(aut, u):
-    out = _outgoing(aut)
-    reach = set(aut.initial)
-    for a in u:
-        reach = {t[3] for q in reach for t in out.get((q, a), ())}
-        if not reach:
-            return False
-    return bool(reach & aut.final)
-
-
 def _eval_epsilon(aut):
     if aut.epsilon_value is not None:
         return aut.epsilon_value
@@ -123,25 +94,54 @@ def eval_s(aut, u):
     return _eval(aut, u)
 
 
+# A run carries its counters and its value so far: the greatest checked value
+# for B, which starts at 0, and the least for S, which starts at INF. Its final
+# value only grows (B) or shrinks (S) with both, so a configuration that is at
+# least as good as another in every component makes the other redundant.
+_START = {"B": 0, "S": INF}
+_AT_LEAST_AS_GOOD = {"B": operator.le, "S": operator.ge}
+
+
 def _eval(aut, u):
+    """One pass over u keeping, per state, the Pareto-best (counters, value)
+    pairs of the runs that reach it."""
     aut.alphabet.check_word(u)
     if not u:
         return _eval_epsilon(aut)
-    if not _has_accepting_run(aut, u):
-        return INF if aut.kind == "B" else 0
-    bound = (len(u) + 1) * _max_increments(_steps(aut))
-    return _value(aut.kind, bound, lambda n: _feasible(aut, u, n))
+    out = {}  # (state, letter) -> transitions
+    for t in aut.transitions:
+        out.setdefault((t[0], t[1]), []).append(t)
+    good = _AT_LEAST_AS_GOOD[aut.kind]
+    layer = {q: [((0,) * aut.counters, _START[aut.kind])] for q in aut.initial}
+    for a in u:
+        nxt = {}
+        for q, front in layer.items():
+            for _, _, actions, dst in out.get((q, a), ()):
+                target = nxt.setdefault(dst, [])
+                for cs, v in front:
+                    _add_pareto(target, _apply(cs, actions, v), good)
+        layer = nxt
+    return _best(aut.kind, [_apply(cs, actions, v)[1]
+                            for q, front in layer.items() for cs, v in front
+                            for actions in aut.exits.get(q, ())])
 
 
-def _value(kind, bound, feasible):
-    """A run value from its threshold test, which is monotone in n and exact
-    up to bound: for B the least n at which some run checks no value above n,
-    for S the greatest n at which some run checks no value below n."""
-    if kind == "B":
-        return least(feasible, bound)
-    if feasible(bound + 1):
-        return INF
-    return least(lambda n: not feasible(n + 1), bound)
+def _add_pareto(front, config, good):
+    """Add config to front, an antichain of (counters, value) pairs, unless a
+    member is at least as good; drop the members config is at least as good as."""
+    cs, v = config
+    for cs2, v2 in front:
+        if good(v2, v) and all(map(good, cs2, cs)):
+            return
+    front[:] = [(cs2, v2) for cs2, v2 in front
+                if not (good(v, v2) and all(map(good, cs, cs2)))]
+    front.append(config)
+
+
+def _best(kind, values):
+    """The least run value for B, the greatest for S; INF (B) or 0 (S) when
+    there is no run."""
+    return min(values, default=INF) if kind == "B" else max(values, default=0)
 
 
 def _runs_value(kind, counters, runs):
@@ -149,60 +149,33 @@ def _runs_value(kind, counters, runs):
     counters: the least over runs of the greatest checked value for B, the
     greatest over runs of the least checked value for S."""
     zero = (0,) * counters
-    return _value(kind, _max_increments(runs),
-                  lambda n: any(_apply(zero, actions, n) is not None for actions in runs))
+    return _best(kind, [_apply(zero, actions, _START[kind])[1] for actions in runs])
 
 
-def _apply(counters, actions, n):
-    """Counters after one action sequence per counter at threshold n, or None
-    when a check fails: ic fails above n, i saturates at n, cr fails below n."""
+def _apply(counters, actions, value):
+    """Counters and run value after one action sequence per counter. ic
+    raises a B value to the count it checks and cr lowers an S value to the
+    count it checks. i stops at the S value: a check at or above it cannot
+    lower the value, so the cap loses nothing."""
     cs = list(counters)
     for gamma, seq in enumerate(actions):
         for a in seq:
             if a == "ic":
                 cs[gamma] += 1
-                if cs[gamma] > n:
-                    return None
+                value = max(value, cs[gamma])
             elif a == "i":
-                cs[gamma] = min(cs[gamma] + 1, n)
+                cs[gamma] = min(cs[gamma] + 1, value)
             elif a == "r":
                 cs[gamma] = 0
             elif a == "cr":
-                if cs[gamma] < n:
-                    return None
+                value = min(value, cs[gamma])
                 cs[gamma] = 0
-    return tuple(cs)
-
-
-def _feasible(aut, u, n):
-    """Is there an accepting run on which every check passes at threshold n?"""
-    out = _outgoing(aut)
-    zero = (0,) * aut.counters
-    layer = {(q, zero) for q in aut.initial}
-    for a in u:
-        nxt = set()
-        for q, cs in layer:
-            for _, _, actions, dst in out.get((q, a), ()):
-                cs2 = _apply(cs, actions, n)
-                if cs2 is not None:
-                    nxt.add((dst, cs2))
-        layer = nxt
-        if not layer:
-            return False
-    for q, cs in layer:
-        for actions in aut.exits.get(q, ()):
-            if _apply(cs, actions, n) is not None:
-                return True
-    return False
+    return tuple(cs), value
 
 
 def eval_s_at_least(aut, u, n):
-    """True iff eval_s(aut, u) >= n (threshold check without full search)."""
-    if n <= 0:
-        return True
-    if not u:
-        return _eval_epsilon(aut) >= n
-    return _feasible(aut, u, n)
+    """True iff eval_s(aut, u) >= n."""
+    return eval_s(aut, u) >= n
 
 
 def contract_b(aut):
@@ -214,7 +187,9 @@ def contract_b(aut):
     """
     if aut.kind != "B":
         raise ValueError("contract_b needs a B-automaton")
-    K = max((_runs_value("B", aut.counters, [actions]) for actions in _steps(aut)), default=0)
+    steps = [actions for _, _, actions, _ in aut.transitions]
+    steps += [actions for options in aut.exits.values() for actions in options]
+    K = max((_runs_value("B", aut.counters, [actions]) for actions in steps), default=0)
 
     def contract(actions):
         return tuple((contract_max(seq),) for seq in actions)

@@ -59,13 +59,7 @@ def _cmd_eval(args):
     phi, alphabet = _parse_formula(args)
     word = tuple(args.word)
     alphabet.check_word(word)
-    if is_ltl(phi):
-        value = sem_inf(phi, word)
-    elif is_nltl(phi):
-        value = sem_sup(phi, word)
-    else:
-        raise ValueError("formula mixes both bounded-operator kinds")
-    print(_fmt(value))
+    print(_fmt(sem_inf(phi, word) if is_ltl(phi) else sem_sup(phi, word)))
     return 0
 
 
@@ -151,7 +145,6 @@ def _cmd_semigroup(args):
         verdict = classify(rec, parse_expr(args.expr))
         print(verdict)
         return 0 if verdict == "F-bounded" else 1
-    raise ValueError("unknown semigroup subcommand %r" % (args.subcommand,))
 
 
 def _cmd_minimize(args):

@@ -1,5 +1,5 @@
 """Extended naturals, alphabets and words, and the helpers every layer shares:
-the threshold search, the order closure and the file-format readers."""
+the order closure and the file-format readers."""
 
 INF = float("inf")
 
@@ -56,14 +56,6 @@ def words_upto(alphabet, max_len, min_len=0):
         if n < max_len:
             layer = [u + a for u in layer for a in alphabet]
     return out
-
-
-def least(pred, hi):
-    """Least n in [0, hi] at which pred holds, or INF; a linear scan."""
-    for n in range(hi + 1):
-        if pred(n):
-            return n
-    return INF
 
 
 def order_closure(pairs, elems):

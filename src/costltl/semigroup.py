@@ -3,7 +3,7 @@ factorization trees, sharp expressions and their boundedness classification."""
 
 from dataclasses import dataclass
 
-from .core import FORMAT_HEADER, least, order_closure, read_fields
+from .core import FORMAT_HEADER, INF, order_closure, read_fields
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,10 @@ def recognize(rec, u):
     if not u:
         raise ValueError("recognition defined on A+, not the empty word")
     w = rec.image(u)
-    return least(lambda n: not (achievable_values(rec, w, n) & rec.ideal), len(w))
+    for n in range(len(w) + 1):
+        if not (achievable_values(rec, w, n) & rec.ideal):
+            return n
+    return INF
 
 
 # --- sharp expressions -------------------------------------------------------
@@ -400,18 +403,18 @@ def loads_semigroup(text):
         raise ValueError("missing elements")
     elements = tuple(fields["elements"].split())
     neutral = fields.get("neutral")
-    product = {}
+    rows = []
     for rest in fields["product"]:
         row, _, vals = rest.partition(":")
-        row = row.strip()
         vals = vals.split()
         if len(vals) != len(elements):
             raise ValueError("bad product row %r" % rest)
-        for y, v in zip(elements, vals):
-            product[(row, y)] = v
+        rows.append((row.strip(), vals))
+    product = {(row, y): v for row, vals in _mapping("product", rows).items()
+               for y, v in zip(elements, vals)}
     order_pairs = {_pair("order", rest) for rest in fields["order"]}
-    sharp = dict(_pair("sharp", rest) for rest in fields["sharp"])
-    h = dict(_pair("h", rest) for rest in fields["h"])
+    sharp = _mapping("sharp", [_pair("sharp", rest) for rest in fields["sharp"]])
+    h = _mapping("h", [_pair("h", rest) for rest in fields["h"]])
     ideal = frozenset(fields["ideal"].split()) if "ideal" in fields else None
     height = int(fields["height"]) if "height" in fields else None
     references = {
@@ -440,6 +443,17 @@ def _pair(key, rest):
     if len(names) != 2:
         raise ValueError("bad %s line %r" % (key, rest))
     return tuple(names)
+
+
+def _mapping(key, pairs):
+    """The (name, value) pairs of key lines as a dict; a name given twice is
+    an error."""
+    table = {}
+    for name, value in pairs:
+        if name in table:
+            raise ValueError("repeated %s line for %r" % (key, name))
+        table[name] = value
+    return table
 
 
 def load_semigroup(path):

@@ -63,8 +63,8 @@ def all_words(max_len, min_len=0):
 
 # ---------------------------------------------------------------------------
 # Brute-force automaton evaluation by explicit run enumeration. Exponential in
-# the word length; used only on short words to cross-check the threshold
-# search in costltl.automata.
+# the word length; used only on short words to cross-check the one-pass
+# evaluation in costltl.automata.
 
 
 def _seq_run(tokens, kind, value, checked):

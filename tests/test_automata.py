@@ -1,7 +1,10 @@
 """Cost automata: evaluation (cross-checked against explicit run
 enumeration), contraction, trimming, and the file format."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costltl import (
     INF,
@@ -20,9 +23,12 @@ from costltl import (
     parse,
     rename_states,
     render,
+    sem_inf,
+    sem_sup,
     trim,
     validate,
 )
+from costltl.automata import B_TOKENS, S_TOKENS
 from conftest import AB, all_words, enum_eval, fixture, min_block
 
 FIXTURE_AUTOMATA = [
@@ -67,6 +73,60 @@ def test_eval_matches_run_enumeration(fixture_automata):
         ev = eval_b if aut.kind == "B" else eval_s
         for u in all_words(5):
             assert ev(aut, u) == enum_eval(aut, u), (name, u)
+
+
+@st.composite
+def _random_automata(draw):
+    """Small B- and S-automata over {a, b}: 1-3 counters, sequences of every
+    token of the kind, and 1-2 exit options on each final state."""
+    kind = draw(st.sampled_from("BS"))
+    counters = draw(st.integers(1, 3))
+    states = tuple("q%d" % i for i in range(draw(st.integers(1, 3))))
+    state = st.sampled_from(states)
+    tokens = B_TOKENS if kind == "B" else S_TOKENS
+    actions = st.tuples(*[st.lists(st.sampled_from(tokens), max_size=3).map(tuple)
+                          for _ in range(counters)])
+    transitions = draw(st.lists(st.tuples(state, st.sampled_from("ab"), actions, state),
+                                min_size=1, max_size=6))
+    final = draw(st.frozensets(state, min_size=1))
+    return CostAutomaton(
+        kind=kind,
+        alphabet=AB,
+        states=states,
+        initial=draw(st.frozensets(state, min_size=1)),
+        final=final,
+        counters=counters,
+        transitions=tuple(transitions),
+        exits={q: tuple(draw(st.lists(actions, min_size=1, max_size=2))) for q in sorted(final)},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_automata())
+def test_random_automata_match_run_enumeration(aut):
+    assert validate(aut) == []
+    ev = eval_b if aut.kind == "B" else eval_s
+    for u in all_words(5):
+        assert ev(aut, u) == enum_eval(aut, u), u
+
+
+@pytest.mark.parametrize("text", [
+    "(a U# END) & (b U# END) & (X a U# END) & (X b U# END)",
+    "(a U# END) | (b U# END) | (X b U# END)",
+    "((a U# b) U# END) & (b U# END)",
+])
+def test_multi_counter_formulae_on_long_words(text):
+    phi = parse(text, AB)
+    psi = dualize(phi, AB)
+    b_aut, s_aut = ltl_to_b(phi, AB), nltl_to_s(psi, AB)
+    for length in (40, 58):
+        u = "".join(random.Random(length).choice("ab") for _ in range(length))
+        assert eval_b(b_aut, u) == sem_inf(phi, u), (length, u)
+        got, want = eval_s(s_aut, u), sem_sup(psi, u)
+        if got == INF or want == INF:
+            assert got == want, (length, u)
+        else:
+            assert abs(got - want) <= 1, (length, u, got, want)
 
 
 def test_eval_s_at_least_is_threshold_view(fixture_automata):
@@ -153,6 +213,9 @@ def test_loads_rejects_malformed_input():
     ("count-letter-b.aut", "kind S", "repeated field 'kind'"),
     ("counting.sg", "height 3", "repeated field 'height'"),
     ("counting.sg", "elements bot a b", "repeated field 'elements'"),
+    ("counting.sg", "product a : bot a a", "repeated product line for 'a'"),
+    ("counting.sg", "h a b", "repeated h line for 'a'"),
+    ("counting.sg", "sharp a bot", "repeated sharp line for 'a'"),
 ])
 def test_loaders_reject_unknown_and_repeated_fields(name, extra, message):
     with open(fixture(name), encoding="utf-8") as fh:

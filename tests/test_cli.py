@@ -152,6 +152,15 @@ def test_undeclared_semigroup_name_exits_2(capsys, tmp_path):
     assert "undeclared element 'zz'" in err
 
 
+def test_repeated_semigroup_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "repeated.sg"
+    with open(fixture("counting.sg"), encoding="utf-8") as fh:
+        path.write_text(fh.read() + "h a b\n", encoding="utf-8")
+    code, out, err = run(capsys, "semigroup", "recognize", "-s", str(path), "-w", "aab")
+    assert code == 2 and out == ""
+    assert "repeated h line for 'a'" in err
+
+
 @pytest.mark.parametrize("argv", [["-w", "aab", "--height", "0"], ["-w", "abc"]])
 def test_bad_recognizer_input_exits_2(capsys, argv):
     code, out, err = run(capsys, "semigroup", "recognize",
