@@ -4,8 +4,8 @@ Transitions carry one action sequence per counter (a translated automaton
 composes several reduction steps into one letter transition). Accepting exits
 record the trailing reduction sequences a run may take after the last letter;
 hand-written automata have a single empty exit on each final state. The empty
-word is valued by `epsilon_value` when set (translated automata), otherwise by
-the initial/final overlap rule.
+word is valued like any other word, by the exits of the initial states applied
+from zero counters, unless `epsilon_value` is set (translated automata).
 """
 
 import operator
@@ -71,15 +71,6 @@ def validate(aut):
     return diags
 
 
-def _eval_epsilon(aut):
-    if aut.epsilon_value is not None:
-        return aut.epsilon_value
-    accepted = bool(aut.initial & aut.final)
-    if aut.kind == "B":
-        return 0 if accepted else INF
-    return INF if accepted else 0
-
-
 def eval_b(aut, u):
     """inf over accepting runs of the max checked counter value."""
     if aut.kind != "B":
@@ -104,10 +95,12 @@ _AT_LEAST_AS_GOOD = {"B": operator.le, "S": operator.ge}
 
 def _eval(aut, u):
     """One pass over u keeping, per state, the Pareto-best (counters, value)
-    pairs of the runs that reach it."""
+    pairs of the runs that reach it, then the fold of the exits; on the empty
+    word the exits of the initial states apply to zero counters, unless
+    epsilon_value is set."""
     aut.alphabet.check_word(u)
-    if not u:
-        return _eval_epsilon(aut)
+    if not u and aut.epsilon_value is not None:
+        return aut.epsilon_value
     out = {}  # (state, letter) -> transitions
     for t in aut.transitions:
         out.setdefault((t[0], t[1]), []).append(t)
@@ -322,6 +315,8 @@ def loads_automaton(text):
     epsilon = None
     if "epsilon" in fields:
         epsilon = INF if fields["epsilon"] == "inf" else int(fields["epsilon"])
+        if epsilon < 0:
+            raise ValueError("negative epsilon value %d" % epsilon)
     aut = CostAutomaton(
         kind=fields["kind"],
         alphabet=alphabet,

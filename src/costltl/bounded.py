@@ -27,7 +27,7 @@ from .actions import (
     vec_sharp_defined,
     vec_leq,
 )
-from .automata import _eval_epsilon
+from .automata import eval_s
 from .formula import is_ltl, is_nltl, dualize
 from .translate import nltl_to_s
 
@@ -112,7 +112,7 @@ def bounded_onthefly(aut):
     |counters| + 2 deep."""
     if aut.kind != "S":
         raise ValueError("boundedness is decided on S-automata")
-    if _eval_epsilon(aut) == INF:
+    if eval_s(aut, "") == INF:
         return BoundednessResult(False, ())
     max_frames = aut.counters + 2
     out = {}
@@ -214,14 +214,11 @@ def _elem_sharp(E):
     return _minimal_triples(triples)
 
 
-def _elem_unbounded(aut, E):
-    for p, sigma, q in E:
-        if p not in aut.initial or q not in aut.final:
-            continue
-        for actions in aut.exits.get(q, ()):
-            if _vec_good(vec_product(sigma, compose_actions(actions))):
-                return True
-    return False
+def _elem_unbounded(initial, accept, E):
+    """Some triple of E from an initial state, followed by one of the
+    composed exit actions that accept lists for its target, is good."""
+    return any(_vec_good(vec_product(sigma, x))
+               for p, sigma, q in E if p in initial for x in accept.get(q, ()))
 
 
 def run_semigroup_closure(aut, max_elements=200000):
@@ -230,8 +227,10 @@ def run_semigroup_closure(aut, max_elements=200000):
     the number of counters, which never changes the verdict."""
     if aut.kind != "S":
         raise ValueError("boundedness is decided on S-automata")
-    if _eval_epsilon(aut) == INF:
+    if eval_s(aut, "") == INF:
         return frozenset(), True
+    accept = {q: [compose_actions(actions) for actions in options]
+              for q, options in aut.exits.items()}
     letter_triples = {}
     for src, a, actions, dst in aut.transitions:
         letter_triples.setdefault(a, set()).add((src, compose_actions(actions), dst))
@@ -246,7 +245,7 @@ def run_semigroup_closure(aut, max_elements=200000):
     for triples in letter_triples.values():
         add(_minimal_triples(triples), 0)
     for E in list(depth):
-        if _elem_unbounded(aut, E):
+        if _elem_unbounded(aut.initial, accept, E):
             return frozenset(depth), True
     while work:
         E = work.pop()
@@ -260,7 +259,7 @@ def run_semigroup_closure(aut, max_elements=200000):
         for G, dg in new:
             known = G in depth and depth[G] <= dg
             add(G, dg)
-            if not known and _elem_unbounded(aut, G):
+            if not known and _elem_unbounded(aut.initial, accept, G):
                 return frozenset(depth), True
         if len(depth) > max_elements:
             raise RuntimeError("run-semigroup closure exceeded %d elements "

@@ -30,7 +30,7 @@ from .semigroup import (
     save_semigroup,
 )
 from .minimize import syntactic_quotient, is_aperiodic, is_ltl_definable
-from .bounded import bounded_onthefly, bounded_closure, bounded_formula, witness_word
+from .bounded import bounded_formula, witness_word
 from .classical import language_recognizer
 
 

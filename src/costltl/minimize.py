@@ -17,7 +17,7 @@ congruence.
 from dataclasses import dataclass
 
 from .core import order_closure
-from .semigroup import StabSemigroup, Recognizer, omega_sharp
+from .semigroup import StabSemigroup, Recognizer, omega_sharp, power_cycle
 
 
 def generated_elements(sg, seeds):
@@ -153,16 +153,11 @@ def _induced_order(elems, product, sharp):
 
 def is_aperiodic(sg):
     """(verdict, least k with s^(k+1) = s^k for all s, or a counterexample)."""
-    powers = {s: [s] for s in sg.elements}
-    bound = len(sg.elements)
-    for _ in range(bound):
-        for s in sg.elements:
-            powers[s].append(sg.mul(powers[s][-1], s))
-    for k in range(1, bound + 1):
-        if all(powers[s][k] == powers[s][k - 1] for s in sg.elements):
-            return True, k
-    worst = next(s for s in sg.elements if powers[s][bound] != powers[s][bound - 1])
-    return False, worst
+    cycles = {s: power_cycle(sg, s) for s in sg.elements}
+    worst = next((s for s, (_, _, period) in cycles.items() if period > 1), None)
+    if worst is not None:
+        return False, worst
+    return True, max(index for _, index, _ in cycles.values())
 
 
 def is_ltl_definable(rec):

@@ -110,22 +110,25 @@ def validate_axioms(sg):
     return diags
 
 
-def idempotent_power(sg, s):
-    """The unique idempotent among the powers of s."""
+def power_cycle(sg, s):
+    """(powers, index, period): powers lists the distinct powers s, s^2, ...,
+    and s^(index + period) = s^index is the first repeat."""
     seen = {}
+    powers = []
     x = s
-    k = 1
     while x not in seen:
-        seen[x] = k
+        seen[x] = len(powers) + 1
+        powers.append(x)
         x = sg.mul(x, s)
-        k += 1
-    mu = seen[x]  # cycle entry exponent
-    lam = k - mu  # cycle length
-    exp = lam * ((mu + lam - 1) // lam)
-    y = s
-    for _ in range(exp - 1):
-        y = sg.mul(y, s)
-    return y
+    index = seen[x]
+    return powers, index, len(powers) + 1 - index
+
+
+def idempotent_power(sg, s):
+    """The unique idempotent among the powers of s: s^k for the multiple k of
+    the period in [index, index + period)."""
+    powers, index, period = power_cycle(sg, s)
+    return powers[period * ((index + period - 1) // period) - 1]
 
 
 def omega_sharp(sg, s):
@@ -399,9 +402,9 @@ def loads_semigroup(text):
     fields = read_fields(text, "semigroup",
                          once=("elements", "neutral", "ideal", "height"),
                          many=("product", "order", "sharp", "h"))
-    if "elements" not in fields:
+    elements = tuple(fields.get("elements", "").split())
+    if not elements:
         raise ValueError("missing elements")
-    elements = tuple(fields["elements"].split())
     neutral = fields.get("neutral")
     rows = []
     for rest in fields["product"]:

@@ -11,7 +11,6 @@ from .core import Alphabet
 from .formula import (
     Atom,
     End,
-    END,
     And,
     Or,
     Next,
@@ -40,13 +39,6 @@ def is_reduced(Y):
 
 def is_consistent(Y):
     return sum(1 for f in Y if is_atomic(f)) <= 1
-
-
-def next_state(Z):
-    """Strip one X from every Next member; atoms are consumed by the letter."""
-    if not (is_reduced(Z) and is_consistent(Z)):
-        raise ValueError("next is defined on reduced consistent pseudo-states")
-    return frozenset(f.operand for f in Z if isinstance(f, Next))
 
 
 class _Translation:
@@ -201,16 +193,23 @@ class _Translation:
             if final_events:
                 exits[Y] = tuple(sorted({self.events_to_actions(ev) for ev in final_events}))
             for Z, events in self.closure(Y):
-                for a in self.alphabet:
-                    if any(is_atomic(f) and f != Atom(a) for f in Z):
-                        continue
-                    target = next_state(Z)
-                    if not is_consistent(target):
-                        continue
-                    transitions.add((Y, a, self.events_to_actions(events), target))
-                    if target not in states:
-                        states.add(target)
-                        worklist.append(target)
+                # an endpoint reads the letters that all its atoms name; End
+                # names none
+                atoms = {f.letter if isinstance(f, Atom) else None
+                         for f in Z if is_atomic(f)}
+                letters = [a for a in self.alphabet if atoms <= {a}]
+                if not letters:
+                    continue
+                # reading a letter consumes the atoms and strips one X from
+                # every Next member
+                target = frozenset(f.operand for f in Z if isinstance(f, Next))
+                if not is_consistent(target):
+                    continue
+                actions = self.events_to_actions(events)
+                transitions.update((Y, a, actions, target) for a in letters)
+                if target not in states:
+                    states.add(target)
+                    worklist.append(target)
         state_names = sorted(states, key=_state_key)
         return CostAutomaton(
             kind=self.polarity,

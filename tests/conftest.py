@@ -106,12 +106,23 @@ def _run_value(aut, path_actions):
     return min(flat) if flat else INF
 
 
-def enum_eval(aut, u):
-    """inf (B) / sup (S) over all accepting runs, enumerated explicitly."""
-    from costltl.automata import _eval_epsilon
+# One-state automata whose only run on the empty word takes an exit action
+# that checks 0 (S) or 1 (B). A rule that only asked whether an initial state
+# is final would value the empty word INF (S) or 0 (B).
+EXIT_ON_EMPTY_WORD = {
+    "S": ("costltl-format 1\nautomaton\nkind S\nalphabet a\nstates q\ninitial q\n"
+          "final q\ncounters 1\nexit q : cr\n"),
+    "B": ("costltl-format 1\nautomaton\nkind B\nalphabet a\nstates q\ninitial q\n"
+          "final q\ncounters 1\ntrans q a q : -\nexit q : ic\n"),
+}
 
-    if not u:
-        return _eval_epsilon(aut)
+
+def enum_eval(aut, u):
+    """inf (B) / sup (S) over all accepting runs, enumerated explicitly; the
+    empty word has zero-letter runs like any other, unless the automaton
+    stores its value."""
+    if not u and aut.epsilon_value is not None:
+        return aut.epsilon_value
     by_src = {}
     for src, letter, actions, dst in aut.transitions:
         by_src.setdefault((src, letter), []).append((actions, dst))

@@ -29,7 +29,7 @@ from costltl import (
     validate,
 )
 from costltl.automata import B_TOKENS, S_TOKENS
-from conftest import AB, all_words, enum_eval, fixture, min_block
+from conftest import AB, EXIT_ON_EMPTY_WORD, all_words, enum_eval, fixture, min_block
 
 FIXTURE_AUTOMATA = [
     "count-letter-b.aut",
@@ -127,6 +127,16 @@ def test_multi_counter_formulae_on_long_words(text):
             assert got == want, (length, u)
         else:
             assert abs(got - want) <= 1, (length, u, got, want)
+
+
+def test_empty_word_takes_the_exits_of_the_initial_states():
+    s_aut = loads_automaton(EXIT_ON_EMPTY_WORD["S"])
+    b_aut = loads_automaton(EXIT_ON_EMPTY_WORD["B"])
+    assert eval_s(s_aut, "") == enum_eval(s_aut, "") == 0
+    assert eval_b(b_aut, "") == enum_eval(b_aut, "") == 1
+    assert eval_b(b_aut, "aa") == 1
+    # a stored value overrides the exits
+    assert eval_s(loads_automaton(EXIT_ON_EMPTY_WORD["S"] + "epsilon 4\n"), "") == 4
 
 
 def test_eval_s_at_least_is_threshold_view(fixture_automata):

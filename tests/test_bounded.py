@@ -11,13 +11,14 @@ from costltl import (
     dualize,
     eval_s,
     load_automaton,
+    loads_automaton,
     nltl_to_s,
     parse,
     render,
     witness_word,
 )
-from costltl.bounded import compose_actions
-from conftest import AB, corpus, fixture
+from costltl.bounded import BoundednessResult, compose_actions
+from conftest import AB, EXIT_ON_EMPTY_WORD, corpus, fixture
 
 
 def test_fixture_s_automata_unbounded():
@@ -126,6 +127,14 @@ def test_unreachable_final_automaton_is_bounded():
     assert eval_s(aut, "ab") == 0
     assert bounded_onthefly(aut).bounded
     assert bounded_closure(aut).bounded
+
+
+def test_empty_word_checked_by_its_exit_is_bounded():
+    # the one run on the empty word checks 0 on its exit, and there is no
+    # other word
+    aut = loads_automaton(EXIT_ON_EMPTY_WORD["S"])
+    assert eval_s(aut, "") == 0
+    assert bounded_onthefly(aut) == bounded_closure(aut) == BoundednessResult(True, None)
 
 
 def test_mixed_fragment_rejected():

@@ -218,3 +218,21 @@ def test_blank_alphabet_letter_is_rejected_everywhere(capsys, tmp_path):
     assert [(name, status) for name, status, _ in rows] == [("spaced.aut", "fail"),
                                                            ("spaced.ltl", "fail")]
     assert all("blank letter" in detail for _, _, detail in rows)
+
+
+def test_negative_epsilon_value_exits_2(capsys, tmp_path):
+    with open(fixture("count-letter-b.aut"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "negative.aut"
+    path.write_text(text + "epsilon -3\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval-aut", "-a", str(path), "-w", "")
+    assert code == 2 and out == ""
+    assert "negative epsilon value -3" in err
+
+
+def test_empty_elements_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "empty.sg"
+    path.write_text("costltl-format 1\nsemigroup\nelements\n", encoding="utf-8")
+    code, out, err = run(capsys, "aperiodic", "-s", str(path))
+    assert code == 2 and out == ""
+    assert "missing elements" in err
