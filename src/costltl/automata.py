@@ -44,6 +44,9 @@ def validate(aut):
     tokens = B_TOKENS if aut.kind == "B" else S_TOKENS
     if aut.kind not in ("B", "S"):
         diags.append("unknown kind %r" % (aut.kind,))
+    if len(states) != len(aut.states):
+        diags.append("repeated state %r"
+                     % next(q for q in aut.states if aut.states.count(q) > 1))
     for q in aut.initial | aut.final:
         if q not in states:
             diags.append("undeclared state %r" % (q,))

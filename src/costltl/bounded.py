@@ -16,7 +16,7 @@ of increments, so pumping the cycles n times yields value at least n.
 
 from dataclasses import dataclass
 
-from .core import INF, Alphabet
+from .core import INF, Alphabet, saturate
 from .actions import (
     atomic_s_to_elem,
     s_product,
@@ -34,6 +34,8 @@ from .translate import nltl_to_s
 GOOD = frozenset(("w", "i", "e", "r"))
 
 _ACCEPT = object()  # virtual target of exit edges
+
+MAX_CLOSURE_ELEMENTS = 200000  # run_semigroup_closure gives up past this many
 
 
 def compose_actions(actions):
@@ -221,10 +223,10 @@ def _elem_unbounded(initial, accept, E):
                for p, sigma, q in E if p in initial for x in accept.get(q, ()))
 
 
-def run_semigroup_closure(aut, max_elements=200000):
+def run_semigroup_closure(aut):
     """Saturate the letter images under product and stabilization; returns
-    (reachable elements, unbounded verdict). Stabilization depth is capped at
-    the number of counters, which never changes the verdict."""
+    (elements found, unbounded verdict). The search stops at the first
+    element that witnesses unboundedness."""
     if aut.kind != "S":
         raise ValueError("boundedness is decided on S-automata")
     if eval_s(aut, "") == INF:
@@ -234,37 +236,16 @@ def run_semigroup_closure(aut, max_elements=200000):
     letter_triples = {}
     for src, a, actions, dst in aut.transitions:
         letter_triples.setdefault(a, set()).add((src, compose_actions(actions), dst))
-    depth = {}
-    work = []
-
-    def add(E, d):
-        if E and (E not in depth or d < depth[E]):
-            depth[E] = d
-            work.append(E)
-
-    for triples in letter_triples.values():
-        add(_minimal_triples(triples), 0)
-    for E in list(depth):
+    seeds = [_minimal_triples(triples) for triples in letter_triples.values()]
+    found = []
+    for E in saturate(seeds, _elem_product, _elem_sharp):
+        found.append(E)
         if _elem_unbounded(aut.initial, accept, E):
-            return frozenset(depth), True
-    while work:
-        E = work.pop()
-        d = depth[E]
-        new = []
-        for F in list(depth):
-            new.append((_elem_product(E, F), max(d, depth[F])))
-            new.append((_elem_product(F, E), max(d, depth[F])))
-        if d < aut.counters and _elem_product(E, E) == E:
-            new.append((_elem_sharp(E), d + 1))
-        for G, dg in new:
-            known = G in depth and depth[G] <= dg
-            add(G, dg)
-            if not known and _elem_unbounded(aut.initial, accept, G):
-                return frozenset(depth), True
-        if len(depth) > max_elements:
-            raise RuntimeError("run-semigroup closure exceeded %d elements "
-                               "(%d found so far)" % (max_elements, len(depth)))
-    return frozenset(depth), False
+            return frozenset(found), True
+        if len(found) > MAX_CLOSURE_ELEMENTS:
+            raise RuntimeError("run-semigroup closure exceeded %d elements"
+                               % MAX_CLOSURE_ELEMENTS)
+    return frozenset(found), False
 
 
 def bounded_closure(aut):

@@ -7,6 +7,7 @@ stabilization and discrete order; the accepting ideal collects the
 transformations of words with infinite value.
 """
 
+from .core import saturate
 from .semigroup import StabSemigroup, Recognizer
 
 
@@ -48,16 +49,8 @@ def transition_semigroup(aut):
     subsets, start, accepting, delta = determinize(aut)
     n = len(subsets)
     h_maps = {a: tuple(delta[(i, a)] for i in range(n)) for a in aut.alphabet}
-    maps = set(h_maps.values())
-    work = list(maps)
-    while work:
-        t = work.pop()
-        for u in list(maps):
-            for c in (tuple(u[i] for i in t), tuple(t[i] for i in u)):
-                if c not in maps:
-                    maps.add(c)
-                    work.append(c)
-    elems = sorted(maps)
+    elems = sorted(saturate(h_maps.values(), lambda t, u: tuple(u[i] for i in t),
+                            lambda t: t))
     name = {t: "t%d" % i for i, t in enumerate(elems)}
     product = {(name[t], name[u]): name[tuple(u[i] for i in t)]
                for t in elems for u in elems}

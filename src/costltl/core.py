@@ -1,5 +1,6 @@
 """Extended naturals, alphabets and words, and the helpers every layer shares:
-the order closure and the file-format readers."""
+the order closure, the saturation of seeds into the stabilization semigroup
+they generate, and the file-format readers."""
 
 INF = float("inf")
 
@@ -70,6 +71,27 @@ def order_closure(pairs, elems):
         if new <= leq:
             return leq
         leq |= new
+
+
+def saturate(seeds, mul, sharp):
+    """Closure of seeds under the product mul and under sharp on idempotents,
+    yielding each element once, in discovery order."""
+    found = dict.fromkeys(seeds)
+    yield from found
+    work = list(found)
+    while work:
+        x = work.pop()
+        for y in list(found):
+            if y is x:
+                xx = mul(x, x)
+                new = (xx, sharp(x)) if xx == x else (xx,)
+            else:
+                new = (mul(x, y), mul(y, x))
+            for z in new:
+                if z not in found:
+                    found[z] = None
+                    work.append(z)
+                    yield z
 
 
 FORMAT_HEADER = "costltl-format 1"

@@ -16,26 +16,8 @@ congruence.
 
 from dataclasses import dataclass
 
-from .core import order_closure
+from .core import order_closure, saturate
 from .semigroup import StabSemigroup, Recognizer, omega_sharp, power_cycle
-
-
-def generated_elements(sg, seeds):
-    """Closure of seeds under product and the omega-sharp map: exactly the
-    elements denoted by omega-sharp expressions over the seeds."""
-    out = set(seeds)
-    work = list(seeds)
-    while work:
-        x = work.pop()
-        new = {omega_sharp(sg, x)}
-        for y in list(out):
-            new.add(sg.mul(x, y))
-            new.add(sg.mul(y, x))
-        for z in new:
-            if z not in out:
-                out.add(z)
-                work.append(z)
-    return out
 
 
 def restrict(sg, keep):
@@ -90,7 +72,8 @@ def syntactic_quotient(rec):
     """Quotient of the generated part of the recognizer by the syntactic
     congruence; the result is the minimal recognizer of the same function."""
     sg = rec.semigroup
-    gen = generated_elements(sg, set(rec.h.values()))
+    # the elements denoted by omega-sharp expressions over the letter images
+    gen = set(saturate(rec.h.values(), sg.mul, sg.sharp.__getitem__))
     sg = restrict(sg, gen)
     ideal = frozenset(x for x in rec.ideal if x in gen)
     classes = congruence_classes(sg, ideal)

@@ -78,6 +78,8 @@ def validate_axioms(sg):
     for x in elems:
         if (x in idems) != (x in sg.sharp):
             diags.append("sharp must be defined exactly on idempotents: %s" % (x,))
+    if not idems <= sg.sharp.keys():
+        return diags
     for e, es in sg.sharp.items():
         if es not in eset:
             diags.append("sharp(%s) leaves the element set" % (e,))
@@ -148,9 +150,13 @@ class Recognizer:
             object.__setattr__(self, "height", 3 * len(self.semigroup.elements))
         if self.height < 1:
             raise ValueError("recognizer height must be at least 1, got %d" % self.height)
+        sg = self.semigroup
+        for e in sg.elements:
+            if sg.product.get((e, e)) == e and e not in sg.sharp:
+                raise ValueError("idempotent %s has no sharp" % (e,))
         for s in self.ideal:
-            for t in self.semigroup.elements:
-                if self.semigroup.le(t, s) and t not in self.ideal:
+            for t in sg.elements:
+                if sg.le(t, s) and t not in self.ideal:
                     raise ValueError("ideal not downward-closed: %s <= %s" % (t, s))
 
     def image(self, u):
@@ -405,6 +411,9 @@ def loads_semigroup(text):
     elements = tuple(fields.get("elements", "").split())
     if not elements:
         raise ValueError("missing elements")
+    if len(set(elements)) != len(elements):
+        raise ValueError("repeated element %r"
+                         % next(x for x in elements if elements.count(x) > 1))
     neutral = fields.get("neutral")
     rows = []
     for rest in fields["product"]:

@@ -226,11 +226,22 @@ def test_loads_rejects_malformed_input():
     ("counting.sg", "product a : bot a a", "repeated product line for 'a'"),
     ("counting.sg", "h a b", "repeated h line for 'a'"),
     ("counting.sg", "sharp a bot", "repeated sharp line for 'a'"),
+    # a pair (line, replacement) edits the file instead of extending it
+    pytest.param("counting.sg", ("elements bot a b", "elements bot a b a"),
+                 "repeated element 'a'", id="counting.sg-repeated element"),
+    pytest.param("count-letter-b.aut", ("states q0", "states q0 q0"),
+                 "repeated state 'q0'", id="count-letter-b.aut-repeated state"),
 ])
 def test_loaders_reject_unknown_and_repeated_fields(name, extra, message):
     with open(fixture(name), encoding="utf-8") as fh:
         text = fh.read()
     loads = loads_automaton if name.endswith(".aut") else loads_semigroup
     loads(text)
+    if isinstance(extra, tuple):
+        line, replacement = extra
+        assert line + "\n" in text
+        bad = text.replace(line + "\n", replacement + "\n")
+    else:
+        bad = text + extra + "\n"
     with pytest.raises(ValueError, match=message):
-        loads(text + extra + "\n")
+        loads(bad)

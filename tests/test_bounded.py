@@ -2,9 +2,11 @@
 run-semigroup closure, plus witness pumping."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costltl import (
     INF,
+    CostAutomaton,
     bounded_closure,
     bounded_formula,
     bounded_onthefly,
@@ -17,6 +19,7 @@ from costltl import (
     render,
     witness_word,
 )
+from costltl.automata import S_TOKENS
 from costltl.bounded import BoundednessResult, compose_actions
 from conftest import AB, EXIT_ON_EMPTY_WORD, corpus, fixture
 
@@ -135,6 +138,39 @@ def test_empty_word_checked_by_its_exit_is_bounded():
     aut = loads_automaton(EXIT_ON_EMPTY_WORD["S"])
     assert eval_s(aut, "") == 0
     assert bounded_onthefly(aut) == bounded_closure(aut) == BoundednessResult(True, None)
+
+
+@st.composite
+def _one_counter_s_automata(draw):
+    """S-automata over {a, b} with 1-3 states, one counter, sequences of
+    every S token, and 1-2 exit options on each final state."""
+    states = tuple("q%d" % i for i in range(draw(st.integers(1, 3))))
+    state = st.sampled_from(states)
+    actions = st.tuples(st.lists(st.sampled_from(S_TOKENS), max_size=3).map(tuple))
+    final = draw(st.frozensets(state, min_size=1))
+    return CostAutomaton(
+        kind="S",
+        alphabet=AB,
+        states=states,
+        initial=draw(st.frozensets(state, min_size=1)),
+        final=final,
+        counters=1,
+        transitions=tuple(draw(st.lists(st.tuples(state, st.sampled_from("ab"), actions, state),
+                                        min_size=1, max_size=6))),
+        exits={q: tuple(draw(st.lists(actions, min_size=1, max_size=2))) for q in sorted(final)},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_counter_s_automata())
+def test_random_automata_closure_agrees_and_witnesses_pump(aut):
+    # the uncapped closure's verdict against the on-the-fly search, whose
+    # unbounded verdicts are certified by pumping their witnesses
+    result = bounded_onthefly(aut)
+    assert bounded_closure(aut).bounded == result.bounded
+    if not result.bounded:
+        for n in (1, 2, 3):
+            assert eval_s(aut, "".join(witness_word(result.script, n))) >= n, n
 
 
 def test_mixed_fragment_rejected():

@@ -1,5 +1,7 @@
 """Command-line interface: verdicts, exit codes, file plumbing."""
 
+import os
+
 import pytest
 
 from costltl import eval_b, load_automaton, load_semigroup
@@ -236,3 +238,48 @@ def test_empty_elements_line_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "aperiodic", "-s", str(path))
     assert code == 2 and out == ""
     assert "missing elements" in err
+
+
+NO_SHARP = "costltl-format 1\nsemigroup\nelements a\nproduct a : a\n"
+
+
+def test_missing_sharp_is_reported_by_check(capsys, tmp_path):
+    path = tmp_path / "nosharp.sg"
+    path.write_text(NO_SHARP, encoding="utf-8")
+    code, out, _ = run(capsys, "semigroup", "check", "-s", str(path))
+    assert code == 1
+    assert out == "sharp must be defined exactly on idempotents: a\n"
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "recognize", "-w", "aa"],
+                                  ["minimize", "-o", os.devnull],
+                                  ["definable"]])
+def test_missing_sharp_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "nosharp.sg"
+    path.write_text(NO_SHARP + "h a a\nideal a\n", encoding="utf-8")
+    code, out, err = run(capsys, *argv, "-s", str(path))
+    assert code == 2 and out == ""
+    assert "idempotent a has no sharp" in err
+
+
+def test_repeated_element_and_state_names_exit_2(capsys, tmp_path):
+    sg_path = tmp_path / "twice.sg"
+    sg_path.write_text("costltl-format 1\nsemigroup\nelements a a\n"
+                       "product a : a a\nsharp a a\n", encoding="utf-8")
+    code, out, err = run(capsys, "aperiodic", "-s", str(sg_path))
+    assert code == 2 and out == ""
+    assert "repeated element 'a'" in err
+    aut_path = tmp_path / "twice.aut"
+    aut_path.write_text("costltl-format 1\nautomaton\nkind B\nalphabet a\nstates q q\n"
+                        "initial q\nfinal q\ncounters 0\ntrans q a q :\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval-aut", "-a", str(aut_path), "-w", "aa")
+    assert code == 2 and out == ""
+    assert "repeated state 'q'" in err
+
+
+def test_closure_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("costltl.bounded.MAX_CLOSURE_ELEMENTS", 1)
+    code, out, err = run(capsys, "bounded", "--alphabet", "ab", "--method", "closure",
+                         "-f", "(b | X a | X F a) U# END")
+    assert code == 2 and out == ""
+    assert "exceeded 1 elements" in err
