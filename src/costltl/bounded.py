@@ -6,7 +6,9 @@ state) frames; closing a cycle stabilizes its composed action. It returns a
 pumpable witness script when the function is unbounded. The closure method
 builds the reachable part of the run semigroup: elements are sets of
 (source, composed action, target) triples closed toward worse actions and
-stored as minimal antichains, combined by product and stabilization.
+stored as minimal antichains, combined by product and stabilization. With no
+counters the same closure is the transition semigroup of the automaton, and
+`language_recognizer` turns it into a recognizer of the regular language.
 
 A composed action is one semigroup element per counter. A run witnesses
 unboundedness when its action on every counter avoids cr, crw and bot: each
@@ -29,12 +31,14 @@ from .actions import (
 )
 from .automata import eval_s
 from .formula import is_ltl, is_nltl, dualize
+from .semigroup import StabSemigroup, Recognizer
 from .translate import nltl_to_s
 
 GOOD = frozenset(("w", "i", "e", "r"))
 
 _ACCEPT = object()  # virtual target of exit edges
 
+MAX_ONTHEFLY_CONFIGS = 500000  # bounded_onthefly gives up past this many
 MAX_CLOSURE_ELEMENTS = 200000  # run_semigroup_closure gives up past this many
 
 
@@ -131,6 +135,9 @@ def bounded_onthefly(aut):
     head = 0
     goal = None
     while head < len(queue) and goal is None:
+        if len(parent) > MAX_ONTHEFLY_CONFIGS:
+            raise RuntimeError("on-the-fly search exceeded %d configurations"
+                               % MAX_ONTHEFLY_CONFIGS)
         config = queue[head]
         head += 1
         sigma_m, q_m = config[-1]
@@ -223,6 +230,19 @@ def _elem_unbounded(initial, accept, E):
                for p, sigma, q in E if p in initial for x in accept.get(q, ()))
 
 
+def _run_effects(aut, letters=()):
+    """(images, accept): the run-semigroup element of each letter with a
+    transition, and of each of letters (the empty element if it has none),
+    and the composed exit actions of each state."""
+    triples = {a: set() for a in letters}
+    for src, a, actions, dst in aut.transitions:
+        triples.setdefault(a, set()).add((src, compose_actions(actions), dst))
+    images = {a: _minimal_triples(t) for a, t in triples.items()}
+    accept = {q: [compose_actions(actions) for actions in options]
+              for q, options in aut.exits.items()}
+    return images, accept
+
+
 def run_semigroup_closure(aut):
     """Saturate the letter images under product and stabilization; returns
     (elements found, unbounded verdict). The search stops at the first
@@ -231,14 +251,9 @@ def run_semigroup_closure(aut):
         raise ValueError("boundedness is decided on S-automata")
     if eval_s(aut, "") == INF:
         return frozenset(), True
-    accept = {q: [compose_actions(actions) for actions in options]
-              for q, options in aut.exits.items()}
-    letter_triples = {}
-    for src, a, actions, dst in aut.transitions:
-        letter_triples.setdefault(a, set()).add((src, compose_actions(actions), dst))
-    seeds = [_minimal_triples(triples) for triples in letter_triples.values()]
+    images, accept = _run_effects(aut)
     found = []
-    for E in saturate(seeds, _elem_product, _elem_sharp):
+    for E in saturate(images.values(), _elem_product, _elem_sharp):
         found.append(E)
         if _elem_unbounded(aut.initial, accept, E):
             return frozenset(found), True
@@ -246,6 +261,29 @@ def run_semigroup_closure(aut):
             raise RuntimeError("run-semigroup closure exceeded %d elements"
                                % MAX_CLOSURE_ELEMENTS)
     return frozenset(found), False
+
+
+def language_recognizer(aut):
+    """Recognizer of the characteristic cost function of a counter-free
+    automaton, on its run semigroup with discrete order; stabilization is
+    the identity on idempotents. The ideal holds the elements of words of
+    infinite value: those with no accepting run for a B-automaton, those
+    with one for an S-automaton."""
+    if aut.counters != 0:
+        raise ValueError("a language recognizer needs a counter-free "
+                         "(classical) automaton")
+    images, accept = _run_effects(aut, aut.alphabet)
+    elems = list(saturate(images.values(), _elem_product, _elem_sharp))
+    name = {E: "t%d" % i for i, E in enumerate(elems)}
+    product = {(name[E], name[F]): name[_elem_product(E, F)]
+               for E in elems for F in elems}
+    sharp = {x: x for x in name.values() if product[(x, x)] == x}
+    sg = StabSemigroup(tuple(name.values()), product,
+                       frozenset((x, x) for x in name.values()), sharp)
+    # with no counters, _elem_unbounded asks whether some run accepts
+    ideal = frozenset(name[E] for E in elems
+                      if _elem_unbounded(aut.initial, accept, E) == (aut.kind == "S"))
+    return Recognizer(sg, {a: name[E] for a, E in images.items()}, ideal)
 
 
 def bounded_closure(aut):

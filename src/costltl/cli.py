@@ -30,8 +30,7 @@ from .semigroup import (
     save_semigroup,
 )
 from .minimize import syntactic_quotient, is_aperiodic, is_ltl_definable
-from .bounded import bounded_formula, witness_word
-from .classical import language_recognizer
+from .bounded import bounded_formula, witness_word, language_recognizer
 
 
 def _fmt(value):
@@ -177,11 +176,7 @@ def _cmd_definable(args):
         phi, alphabet = _parse_formula(args)
         if not is_ltl(phi):
             raise ValueError("definability from a formula expects LTL<=")
-        aut = rename_states(ltl_to_b(phi, alphabet))
-        if aut.counters != 0:
-            raise ValueError("definability from a formula supports the "
-                             "counter-free (classical) fragment only")
-        rec = language_recognizer(aut)
+        rec = language_recognizer(ltl_to_b(phi, alphabet))
     verdict = is_ltl_definable(rec)
     print("definable" if verdict else "not-definable")
     return 0 if verdict else 1

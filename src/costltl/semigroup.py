@@ -441,6 +441,9 @@ def loads_semigroup(text):
         for name in names:
             if name not in elements:
                 raise ValueError("%s names undeclared element %r" % (field, name))
+    for x in elements:
+        if (x, x) not in product:
+            raise ValueError("missing product row for %r" % x)
     sg = make_semigroup(elements, product, order_pairs, sharp, neutral)
     rec = None
     if h or ideal is not None:

@@ -283,3 +283,28 @@ def test_closure_budget_exits_2(capsys, monkeypatch):
                          "-f", "(b | X a | X F a) U# END")
     assert code == 2 and out == ""
     assert "exceeded 1 elements" in err
+
+
+def test_onthefly_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("costltl.bounded.MAX_ONTHEFLY_CONFIGS", 1)
+    code, out, err = run(capsys, "bounded", "--alphabet", "ab", "--method", "onthefly",
+                         "-f", "(b | X a | X F a) U# END")
+    assert code == 2 and out == ""
+    assert "exceeded 1 configurations" in err
+
+
+NO_PRODUCT_ROW = ("costltl-format 1\nsemigroup\nelements a b\nproduct a : a a\n"
+                  "sharp a a\nh a a\nideal a\n")
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "recognize", "-w", "aa"],
+                                  ["aperiodic"],
+                                  ["minimize", "-o", os.devnull],
+                                  ["definable"],
+                                  ["semigroup", "check"]])
+def test_missing_product_row_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "norow.sg"
+    path.write_text(NO_PRODUCT_ROW, encoding="utf-8")
+    code, out, err = run(capsys, *argv, "-s", str(path))
+    assert code == 2 and out == ""
+    assert "missing product row for 'b'" in err

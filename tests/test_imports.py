@@ -1,10 +1,13 @@
 """Every name a library module imports is used in that module (the package
-__init__ only re-exports, so it is exempt)."""
+__init__ only re-exports, so it is exempt), and every name the package
+exports exists."""
 
 import ast
 import os
 
 import pytest
+
+import costltl
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "costltl")
 MODULES = sorted(name for name in os.listdir(SRC)
@@ -30,3 +33,7 @@ def test_unused_import_is_found():
 def test_every_import_is_used(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert _unused_imports(fh.read()) == []
+
+
+def test_every_public_name_resolves():
+    assert [name for name in costltl.__all__ if not hasattr(costltl, name)] == []
