@@ -1,13 +1,13 @@
 """Counter-action algebras.
 
 B side: atomic actions e (skip), ic (increment and check), r (reset), with
-max-contraction. S side: the 7-element stabilization
-semigroup of composed actions, stored as literal tables. The tables are ground
-truth from the source construction; they are checked exhaustively by tests,
-never recomputed.
+max-contraction. S side: the 7-element stabilization semigroup of composed
+actions, S_ACTIONS, built from literal tables. The tables are ground truth
+from the source construction; they are checked exhaustively by tests, never
+recomputed.
 """
 
-from .core import order_closure
+from .semigroup import make_semigroup
 
 B_ORDER = {"e": 0, "ic": 1, "r": 2}
 
@@ -24,54 +24,26 @@ _S_TABLE = {
     "bot": ("bot", "bot", "bot", "bot", "bot", "bot", "bot"),
 }
 
+# Defined on the idempotents, that is everywhere but cr (cr.cr = bot).
 _S_SHARP = {"w": "w", "i": "w", "e": "e", "r": "r", "crw": "crw", "bot": "bot"}
 
 # Order: w <= i <= e <= r <= cr <= bot and e <= crw <= cr; r and crw incomparable.
 _S_COVERS = [("w", "i"), ("i", "e"), ("e", "r"), ("e", "crw"), ("r", "cr"), ("crw", "cr"), ("cr", "bot")]
 
+S_ACTIONS = make_semigroup(
+    S_ELEMS,
+    {(x, y): z for x, row in _S_TABLE.items() for y, z in zip(S_ELEMS, row)},
+    _S_COVERS, _S_SHARP, neutral="e")
 
-_S_LEQ = order_closure(_S_COVERS, S_ELEMS)
-
-
-def s_product(x, y):
-    return _S_TABLE[x][S_ELEMS.index(y)]
-
-
-def s_sharp(x):
-    if x == "cr":
-        raise ValueError("sharp undefined on non-idempotent cr")
-    return _S_SHARP[x]
-
-
-def s_leq(x, y):
-    return (x, y) in _S_LEQ
-
-
-def atomic_s_to_elem(a):
-    """Embed an atomic S-automaton action into the action semigroup."""
-    if a not in ("e", "i", "r", "cr"):
-        raise ValueError("unknown atomic S action %r" % (a,))
-    return a
+_PRODUCT = S_ACTIONS.product
 
 
 def vec_product(x, y):
-    return tuple(s_product(a, b) for a, b in zip(x, y))
-
-
-def vec_sharp(x):
-    return tuple(s_sharp(a) for a in x)
-
-
-def vec_sharp_defined(x):
-    return all(a != "cr" for a in x)
+    return tuple(map(_PRODUCT.__getitem__, zip(x, y)))
 
 
 def vec_leq(x, y):
-    return all(s_leq(a, b) for a, b in zip(x, y))
-
-
-def neutral_vec(k):
-    return ("e",) * k
+    return all(S_ACTIONS.le(a, b) for a, b in zip(x, y))
 
 
 def contract_max(seq):

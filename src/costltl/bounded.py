@@ -19,19 +19,10 @@ of increments, so pumping the cycles n times yields value at least n.
 from dataclasses import dataclass
 
 from .core import INF, Alphabet, saturate
-from .actions import (
-    atomic_s_to_elem,
-    s_product,
-    s_sharp,
-    neutral_vec,
-    vec_product,
-    vec_sharp,
-    vec_sharp_defined,
-    vec_leq,
-)
-from .automata import eval_s
+from .actions import S_ACTIONS, vec_product, vec_leq
+from .automata import S_TOKENS, eval_s
 from .formula import is_ltl, is_nltl, dualize
-from .semigroup import StabSemigroup, Recognizer
+from .semigroup import StabSemigroup, Recognizer, omega_sharp
 from .translate import nltl_to_s
 
 GOOD = frozenset(("w", "i", "e", "r"))
@@ -46,9 +37,11 @@ def compose_actions(actions):
     """Composed semigroup element per counter of an action-sequence tuple."""
     vec = []
     for seq in actions:
-        x = "e"
+        x = S_ACTIONS.neutral
         for tok in seq:
-            x = s_product(x, atomic_s_to_elem(tok))
+            if tok not in S_TOKENS:
+                raise ValueError("unknown atomic S action %r" % (tok,))
+            x = S_ACTIONS.mul(x, tok)
         vec.append(x)
     return tuple(vec)
 
@@ -124,7 +117,8 @@ def bounded_onthefly(aut):
     out = {}
     for src, sigma, dst, letter in contracted_edges(aut):
         out.setdefault(src, []).append((sigma, dst, letter))
-    start_sigma = neutral_vec(aut.counters)
+    start_sigma = (S_ACTIONS.neutral,) * aut.counters
+    sharp = S_ACTIONS.sharp
     parent = {}
     queue = []
     for q in aut.initial:
@@ -147,8 +141,8 @@ def bounded_onthefly(aut):
                           ("step", letter)))
         if aut.counters and len(config) < max_frames and q_m is not _ACCEPT:
             succs.append((config + ((start_sigma, q_m),), ("open",)))
-        if len(config) >= 2 and q_m == config[-2][1] and vec_sharp_defined(sigma_m):
-            merged = vec_product(config[-2][0], vec_sharp(sigma_m))
+        if len(config) >= 2 and q_m == config[-2][1] and all(x in sharp for x in sigma_m):
+            merged = vec_product(config[-2][0], tuple(sharp[x] for x in sigma_m))
             succs.append((config[:-2] + ((merged, q_m),), ("close",)))
         for nxt, move in succs:
             if nxt not in parent:
@@ -192,11 +186,6 @@ def _minimal_triples(triples):
     return frozenset(_minimal(by_pair))
 
 
-def _sharp_up(sigma):
-    """Stabilize each component, lifting the non-idempotent cr to bot first."""
-    return tuple("bot" if x == "cr" else s_sharp(x) for x in sigma)
-
-
 def _elem_product(E, F):
     by_src = {}
     for p, sigma, q in F:
@@ -209,11 +198,12 @@ def _elem_product(E, F):
 
 
 def _elem_sharp(E):
-    """Stabilization of an idempotent element: runs through a pumped loop."""
+    """Stabilization of an idempotent element: runs through a pumped loop,
+    each counter's loop action stabilized as (x^omega)#."""
     loops = {}
     for q, sigma, q2 in E:
         if q == q2:
-            loops.setdefault(q, []).append(_sharp_up(sigma))
+            loops.setdefault(q, []).append(tuple(omega_sharp(S_ACTIONS, x) for x in sigma))
     triples = set()
     for p, sigma1, q in E:
         for se in loops.get(q, ()):

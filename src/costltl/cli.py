@@ -117,8 +117,18 @@ def _cmd_bounded(args):
     return 0 if result.bounded else 1
 
 
-def _load_recognizer(path):
+def _load_valid(path):
+    """load_semigroup, refusing a semigroup that fails its axioms with the
+    first diagnostic of validate_axioms."""
     sg, rec = load_semigroup(path)
+    problems = validate_axioms(sg)
+    if problems:
+        raise ValueError(problems[0])
+    return sg, rec
+
+
+def _load_recognizer(path):
+    sg, rec = _load_valid(path)
     if rec is None:
         raise ValueError("%s has no recognizer block (h/ideal)" % path)
     return sg, rec
@@ -134,16 +144,14 @@ def _cmd_semigroup(args):
         print("OK")
         return 0
     sg, rec = _load_recognizer(args.semigroup)
-    if args.height is not None:
-        rec = Recognizer(sg, rec.h, rec.ideal, args.height)
     if args.subcommand == "recognize":
-        word = tuple(args.word)
-        print(_fmt(recognize(rec, word)))
+        if args.height is not None:
+            rec = Recognizer(sg, rec.h, rec.ideal, args.height)
+        print(_fmt(recognize(rec, tuple(args.word))))
         return 0
-    if args.subcommand == "classify":
-        verdict = classify(rec, parse_expr(args.expr))
-        print(verdict)
-        return 0 if verdict == "F-bounded" else 1
+    verdict = classify(rec, parse_expr(args.expr))
+    print(verdict)
+    return 0 if verdict == "F-bounded" else 1
 
 
 def _cmd_minimize(args):
@@ -160,7 +168,7 @@ def _cmd_minimize(args):
 
 
 def _cmd_aperiodic(args):
-    sg, _ = load_semigroup(args.semigroup)
+    sg, _ = _load_valid(args.semigroup)
     verdict, detail = is_aperiodic(sg)
     if verdict:
         print("aperiodic" if args.porcelain else "aperiodic (k=%d)" % detail)
@@ -200,10 +208,7 @@ def _cmd_corpus(args):
         path = os.path.join(args.directory, name)
         try:
             if name.endswith(".sg"):
-                sg, rec = load_semigroup(path)
-                problems = validate_axioms(sg)
-                if problems:
-                    raise ValueError(problems[0])
+                sg, rec = _load_valid(path)
                 detail = "%d elements%s" % (len(sg.elements),
                                             ", recognizer" if rec else "")
             elif name.endswith(".aut"):
@@ -291,7 +296,6 @@ def build_parser():
     q = ssub.add_parser("classify", help="classify a sharp expression")
     common(q, semigroup=True)
     q.add_argument("expr", help="expression, e.g. (ab)^ws or a^w b")
-    q.add_argument("--height", type=int)
     q.set_defaults(func=_cmd_semigroup)
 
     p = sub.add_parser("minimize", help="quotient by the syntactic congruence")

@@ -211,6 +211,8 @@ class _Translation:
                     states.add(target)
                     worklist.append(target)
         state_names = sorted(states, key=_state_key)
+        # transitions follow the state order, then letter and actions
+        pos = {Y: i for i, Y in enumerate(state_names)}
         return CostAutomaton(
             kind=self.polarity,
             alphabet=self.alphabet,
@@ -218,7 +220,8 @@ class _Translation:
             initial=frozenset({start}),
             final=frozenset(exits),
             counters=self.k,
-            transitions=tuple(sorted(transitions, key=_trans_key)),
+            transitions=tuple(sorted(
+                transitions, key=lambda t: (pos[t[0]], t[1], pos[t[3]], t[2]))),
             exits=exits,
             epsilon_value=self.epsilon_value(),
         )
@@ -232,10 +235,6 @@ class _Translation:
 
 def _state_key(Y):
     return (len(Y), sorted(map(sort_key, Y)))
-
-
-def _trans_key(t):
-    return (_state_key(t[0]), t[1], _state_key(t[3]), t[2])
 
 
 def ltl_to_b(phi, alphabet):

@@ -5,74 +5,71 @@ bit-exactly against the shipped fixture table)."""
 import itertools
 import random
 
-import pytest
-
 from costltl import Alphabet, CostAutomaton, contract_b, load_semigroup, validate_axioms
-from costltl.actions import (
-    S_ELEMS,
-    contract_max,
-    s_leq,
-    s_product,
-    s_sharp,
-    vec_product,
-    vec_sharp,
-    vec_sharp_defined,
-)
-from costltl.semigroup import make_semigroup
+from costltl.actions import S_ACTIONS, S_ELEMS, contract_max, vec_product
+from costltl.semigroup import make_semigroup, omega_sharp
 from conftest import fixture
+
+mul, le = S_ACTIONS.mul, S_ACTIONS.le
 
 
 def test_associativity_all_triples():
     for x, y, z in itertools.product(S_ELEMS, repeat=3):
-        assert s_product(s_product(x, y), z) == s_product(x, s_product(y, z))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
 
 def test_sharp_axioms_on_idempotents():
-    idems = [x for x in S_ELEMS if s_product(x, x) == x]
+    idems = S_ACTIONS.idempotents()
     assert set(idems) == {"w", "i", "e", "r", "crw", "bot"}
+    assert S_ACTIONS.sharp.keys() == set(idems)
     for e in idems:
-        es = s_sharp(e)
-        assert s_product(es, e) == es
-        assert s_product(e, es) == es
-        assert s_product(es, es) == es
-        assert s_sharp(es) == es
-        assert s_leq(es, e)
+        es = S_ACTIONS.sharp[e]
+        assert mul(es, e) == es
+        assert mul(e, es) == es
+        assert mul(es, es) == es
+        assert S_ACTIONS.sharp[es] == es
+        assert le(es, e)
 
 
 def test_sharp_undefined_on_cr():
-    assert s_product("cr", "cr") == "bot"
-    with pytest.raises(ValueError):
-        s_sharp("cr")
+    assert mul("cr", "cr") == "bot"
+    assert "cr" not in S_ACTIONS.sharp
+
+
+def test_omega_sharp_stabilizes_every_action():
+    # a loop action is stabilized as (x^omega)#: cr, whose square is bot,
+    # stabilizes to bot
+    assert tuple(omega_sharp(S_ACTIONS, x) for x in S_ELEMS) == (
+        "w", "w", "e", "r", "crw", "bot", "bot")
 
 
 def test_order_compatibility():
     for x, y in itertools.product(S_ELEMS, repeat=2):
-        if not s_leq(x, y):
+        if not le(x, y):
             continue
         for z in S_ELEMS:
-            assert s_leq(s_product(z, x), s_product(z, y))
-            assert s_leq(s_product(x, z), s_product(y, z))
+            assert le(mul(z, x), mul(z, y))
+            assert le(mul(x, z), mul(y, z))
 
 
 def test_order_is_partial_order():
     for x in S_ELEMS:
-        assert s_leq(x, x)
+        assert le(x, x)
     for x, y in itertools.product(S_ELEMS, repeat=2):
         if x != y:
-            assert not (s_leq(x, y) and s_leq(y, x))
+            assert not (le(x, y) and le(y, x))
+        for z in S_ELEMS:
+            if le(x, y) and le(y, z):
+                assert le(x, z)
 
 
 def test_fixture_table_matches_code_tables():
     sg, rec = load_semigroup(fixture("saction.sg"))
     assert rec is None
-    assert tuple(sg.elements) == S_ELEMS
-    for x, y in itertools.product(S_ELEMS, repeat=2):
-        assert sg.mul(x, y) == s_product(x, y), (x, y)
-        assert sg.le(x, y) == s_leq(x, y), (x, y)
-    for e in sg.idempotents():
-        assert sg.sharp[e] == s_sharp(e)
-    errors = validate_axioms(sg)
-    assert errors == []
+    # dataclass equality: elements, product, order, sharp and neutral
+    assert sg == S_ACTIONS
+    assert S_ACTIONS.neutral == "e"
+    assert validate_axioms(S_ACTIONS) == []
 
 
 def test_random_single_entry_mutations_rejected():
@@ -118,7 +115,5 @@ def test_contract_max_picks_dominant_action():
 def test_vector_actions_componentwise():
     x = ("i", "cr")
     y = ("e", "i")
-    assert vec_product(x, y) == (s_product("i", "e"), s_product("cr", "i"))
-    assert not vec_sharp_defined(x)
-    assert vec_sharp_defined(("i", "e"))
-    assert vec_sharp(("i", "e")) == ("w", "e")
+    assert vec_product(x, y) == (mul("i", "e"), mul("cr", "i"))
+    assert vec_product((), ()) == ()

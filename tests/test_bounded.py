@@ -89,6 +89,26 @@ def test_compose_actions_per_counter():
     assert compose_actions((("cr", "cr"), ("r",))) == ("bot", "r")
 
 
+def test_pumped_check_reset_loop_is_bounded():
+    # counter 2, checked on exit, grows only on the a-loop that checks and
+    # resets counter 1; pumping that loop checks counter 1 just after its
+    # reset. cr is not idempotent (cr.cr = bot), so the loop stabilizes to
+    # (cr^omega)# = bot; kept as cr it would compose with a block of
+    # increments w to the good action w.cr = r, and the closure would
+    # wrongly answer unbounded
+    aut = CostAutomaton("S", AB, ("q",), frozenset("q"), frozenset("q"), 2,
+                        (("q", "a", ((), ()), "q"), ("q", "b", (("i",), ("r",)), "q"),
+                         ("q", "a", (("cr",), ("i",)), "q")),
+                        {"q": (((), ("cr",)),)})
+    assert bounded_onthefly(aut) == bounded_closure(aut) == BoundednessResult(True, None)
+
+
+def test_compose_actions_rejects_non_atomic_token():
+    # w is an element of the action semigroup but no atomic action
+    with pytest.raises(ValueError, match="unknown atomic S action"):
+        compose_actions((("w",),))
+
+
 def test_checked_everywhere_automaton_is_bounded():
     from costltl import Alphabet, CostAutomaton
 

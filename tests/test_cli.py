@@ -308,3 +308,27 @@ def test_missing_product_row_exits_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "-s", str(path))
     assert code == 2 and out == ""
     assert "missing product row for 'b'" in err
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "recognize", "-w", "ab"],
+                                  ["minimize", "-o", "quotient.sg"],
+                                  ["definable"],
+                                  ["aperiodic"],
+                                  ["semigroup", "classify", "a^ws"]])
+def test_semigroup_failing_axioms_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # counting.sg with one product row changed: b.a = bot breaks associativity
+    with open(fixture("counting.sg"), encoding="utf-8") as fh:
+        text = fh.read().replace("product b : bot a b", "product b : bot bot b")
+    (tmp_path / "broken.sg").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "-s", "broken.sg")
+    assert code == 2 and out == ""
+    assert err == "error: associativity fails on (a, b, a)\n"
+    assert not (tmp_path / "quotient.sg").exists()
+
+
+def test_classify_has_no_height_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["semigroup", "classify", "-s", fixture("counting.sg"), "--height", "3", "a^ws"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --height" in capsys.readouterr().err
