@@ -268,6 +268,10 @@ def _parse_actions(text, counters):
 
 
 def dumps_automaton(aut):
+    for name in map(str, aut.states):
+        if not name or any(c.isspace() for c in name):
+            raise ValueError("state name %r cannot be written; rename_states gives "
+                             "writable names" % name)
     lines = [FORMAT_HEADER, "automaton", "kind %s" % aut.kind,
              "alphabet %s" % "".join(aut.alphabet.letters),
              "states %s" % " ".join(str(q) for q in aut.states),
@@ -343,5 +347,6 @@ def load_automaton(path):
 
 
 def save_automaton(aut, path):
+    text = dumps_automaton(aut)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_automaton(aut))
+        fh.write(text)

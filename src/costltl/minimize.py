@@ -48,7 +48,9 @@ def congruence_classes(sg, ideal):
     gens.append(lambda s: omega_sharp(sg, s))
     block = {x: _signature(sg, ideal, x) for x in elems}
     while True:
-        refined = {x: (block[x],) + tuple(block[g(x)] for g in gens) for x in elems}
+        # a list, not a generator: the generator frames left the allocator
+        # fragmented over many calls (ru_maxrss grew, live memory did not)
+        refined = {x: (block[x],) + tuple([block[g(x)] for g in gens]) for x in elems}
         renum = {}  # refined key -> new block number, in first-seen order
         new_block = {x: renum.setdefault(refined[x], len(renum)) for x in elems}
         if len(renum) == len(set(block.values())):

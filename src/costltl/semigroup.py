@@ -169,55 +169,72 @@ class Recognizer:
 def achievable_values(rec, w, n):
     """Values of n-trees of height <= rec.height over the element sequence w.
 
-    Interval dynamic programming: leaves, binary products, idempotent nodes
-    (2..n equal children) and stabilization nodes (> n equal children, value
-    e sharp).
+    Every n >= len(w) answers like len(w): no interval has more parts.
+    """
+    if n < 0:
+        raise ValueError("threshold must be at least 0, got %d" % n)
+    bit = 1 << min(n, len(w))
+    return frozenset(x for x, mask in _threshold_masks(rec, w).items() if mask & bit)
+
+
+def _threshold_masks(rec, w):
+    """Value -> bitmask over n in [0, len(w)] of the n-trees of height
+    <= rec.height over all of w, for every threshold in one interval DP.
+
+    Leaves and binary products (whose mask is the AND of its children's) are
+    the same at every n. An idempotent node over k >= 2 parts equal to e
+    holds for n >= k; a stabilization node over k parts, of value e sharp,
+    holds for n < k (at n = 0 a single part already counts as many).
     """
     if not w:
         raise ValueError("achievable_values needs a nonempty sequence")
     sg = rec.semigroup
-    H = rec.height
     m = len(w)
-    idems = sg.idempotents()
-    prev = {(i, j): (set() if j > i + 1 else {w[i]})
+    full = (1 << (m + 1)) - 1
+    below = [(1 << k) - 1 for k in range(m + 1)]  # bits n < k
+    idems = [(e, sg.sharp[e]) for e in sg.idempotents()]
+    prev = {(i, j): ({} if j > i + 1 else {w[i]: full})
             for i in range(m) for j in range(i + 1, m + 1)}
-    for _ in range(H):
-        cur = {}
-        changed = False
-        for i in range(m):
-            for j in range(i + 1, m + 1):
-                vals = set(prev[(i, j)])
-                for mid in range(i + 1, j):
-                    for x in prev[(i, mid)]:
-                        for y in prev[(mid, j)]:
-                            vals.add(sg.mul(x, y))
-                for e in idems:
-                    counts = _part_counts(prev, e, i, j, n)
-                    if any(2 <= c <= n for c in counts):
-                        vals.add(e)
-                    # at threshold 0 a single part already counts as many
-                    if any(c > n for c in counts):
-                        vals.add(sg.sharp[e])
-                cur[(i, j)] = vals
-                changed = changed or len(vals) != len(prev[(i, j)])
-        prev = cur
-        if not changed:
+    for _ in range(rec.height):
+        cur = {span: dict(vals) for span, vals in prev.items()}
+        for (i, j), vals in cur.items():
+            for mid in range(i + 1, j):
+                right = prev[(mid, j)]
+                for x, mx in prev[(i, mid)].items():
+                    for y, my in right.items():
+                        both = mx & my
+                        if both:
+                            z = sg.product[(x, y)]
+                            vals[z] = vals.get(z, 0) | both
+        for e, es in idems:
+            for i in range(m):
+                parts = {i: {0: full}}  # end -> part count k -> mask
+                for j in range(i + 1, m + 1):
+                    counts = {}
+                    for start, before in parts.items():
+                        me = prev[(start, j)].get(e, 0)
+                        if me:
+                            for k, mk in before.items():
+                                both = mk & me
+                                if both:
+                                    counts[k + 1] = counts.get(k + 1, 0) | both
+                    if not counts:
+                        continue
+                    parts[j] = counts
+                    vals = cur[(i, j)]
+                    idem = stab = 0
+                    for k, mk in counts.items():
+                        stab |= mk & below[k]
+                        if k >= 2:
+                            idem |= mk >> k << k
+                    if idem:
+                        vals[e] = vals.get(e, 0) | idem
+                    if stab:
+                        vals[es] = vals.get(es, 0) | stab
+        if cur == prev:
             break
-    return frozenset(prev[(0, m)])
-
-def _part_counts(ach, e, i, j, n):
-    """Counts k (capped at n+1, where they are all alike) of decompositions
-    of [i, j) into k parts each achieving e at the previous height."""
-    cap = n + 1
-    best = {i: {0}}
-    for mid in range(i + 1, j + 1):
-        got = set()
-        for start, counts in best.items():
-            if start < mid and e in ach[(start, mid)]:
-                got.update(min(c + 1, cap) for c in counts)
-        if got:
-            best[mid] = got
-    return best.get(j, set())
+        prev = cur
+    return prev[(0, m)]
 
 
 def recognize(rec, u):
@@ -226,10 +243,12 @@ def recognize(rec, u):
     if not u:
         raise ValueError("recognition defined on A+, not the empty word")
     w = rec.image(u)
-    for n in range(len(w) + 1):
-        if not (achievable_values(rec, w, n) & rec.ideal):
-            return n
-    return INF
+    held = 0
+    for x, mask in _threshold_masks(rec, w).items():
+        if x in rec.ideal:
+            held |= mask
+    free = ~held & ((1 << (len(w) + 1)) - 1)
+    return (free & -free).bit_length() - 1 if free else INF
 
 
 # --- sharp expressions -------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from costltl import INF, Alphabet, parse, words_upto
+from costltl import INF, Alphabet, achievable_values, parse, recognize, words_upto
 
 AB = Alphabet("ab")
 
@@ -157,3 +157,71 @@ def min_block(u):
 @pytest.fixture(scope="session")
 def corpus_formulas():
     return corpus()
+
+
+# ---------------------------------------------------------------------------
+# Recognition by a separate table per threshold n = 0, 1, ..., |u|: the
+# oracle for the all-thresholds DP in costltl.semigroup.
+
+
+def scan_achievable_values(rec, w, n):
+    """Values of n-trees of height <= rec.height over the element sequence
+    w, by interval DP at the one threshold n."""
+    sg = rec.semigroup
+    m = len(w)
+    idems = sg.idempotents()
+    prev = {(i, j): (set() if j > i + 1 else {w[i]})
+            for i in range(m) for j in range(i + 1, m + 1)}
+    for _ in range(rec.height):
+        cur = {}
+        for i in range(m):
+            for j in range(i + 1, m + 1):
+                vals = set(prev[(i, j)])
+                for mid in range(i + 1, j):
+                    for x in prev[(i, mid)]:
+                        for y in prev[(mid, j)]:
+                            vals.add(sg.mul(x, y))
+                for e in idems:
+                    counts = _scan_part_counts(prev, e, i, j, n)
+                    if any(2 <= c <= n for c in counts):
+                        vals.add(e)
+                    if any(c > n for c in counts):
+                        vals.add(sg.sharp[e])
+                cur[(i, j)] = vals
+        if cur == prev:
+            break
+        prev = cur
+    return frozenset(prev[(0, m)])
+
+
+def _scan_part_counts(ach, e, i, j, n):
+    """Counts k (capped at n+1, where they are all alike) of decompositions
+    of [i, j) into k parts each achieving e."""
+    cap = n + 1
+    best = {i: {0}}
+    for mid in range(i + 1, j + 1):
+        got = set()
+        for start, counts in best.items():
+            if start < mid and e in ach[(start, mid)]:
+                got.update(min(c + 1, cap) for c in counts)
+        if got:
+            best[mid] = got
+    return best.get(j, set())
+
+
+def scan_recognize(rec, u):
+    """The least n in [0, |u|] whose n-trees all avoid the ideal, else INF."""
+    w = rec.image(u)
+    for n in range(len(w) + 1):
+        if not scan_achievable_values(rec, w, n) & rec.ideal:
+            return n
+    return INF
+
+
+def assert_matches_scan(rec, u):
+    """recognize and achievable_values at every n in [0, |u| + 2] agree with
+    the per-threshold scan."""
+    w = rec.image(u)
+    for n in range(len(w) + 3):
+        assert achievable_values(rec, w, n) == scan_achievable_values(rec, w, n), (u, n)
+    assert recognize(rec, u) == scan_recognize(rec, u), u

@@ -1,6 +1,7 @@
 """Cost automata: evaluation (cross-checked against explicit run
 enumeration), contraction, trimming, and the file format."""
 
+import dataclasses
 import random
 
 import pytest
@@ -185,6 +186,17 @@ def test_serialization_roundtrip_translated():
     assert loads_automaton(dumps_automaton(aut)) == aut
 
 
+def test_dumps_rejects_unwritable_state_names():
+    # translated states are sets of formulae; str() of one has spaces
+    aut = ltl_to_b(parse("!a U# END", AB), AB)
+    with pytest.raises(ValueError, match="rename_states"):
+        dumps_automaton(aut)
+    renamed = rename_states(aut)
+    assert loads_automaton(dumps_automaton(renamed)) == renamed
+    with pytest.raises(ValueError, match="rename_states"):
+        dumps_automaton(dataclasses.replace(renamed, states=renamed.states + ("",)))
+
+
 def test_rename_and_trim_preserve_function(fixture_automata):
     for name, aut in fixture_automata.items():
         ev = eval_b if aut.kind == "B" else eval_s
@@ -197,7 +209,6 @@ def test_rename_and_trim_preserve_function(fixture_automata):
 
 def test_validate_rejects_bad_automata(fixture_automata):
     aut = fixture_automata["count-letter-b.aut"]
-    import dataclasses
 
     bad_letter = dataclasses.replace(
         aut, transitions=aut.transitions + (("q0", "c", (("e",),), "q0"),)

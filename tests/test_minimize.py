@@ -11,7 +11,7 @@ from costltl import (
     syntactic_quotient,
     validate_axioms,
 )
-from conftest import fixture
+from conftest import all_words, assert_matches_scan, fixture
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +88,15 @@ def test_aperiodicity(counting_rec, parity_rec):
 def test_definability(counting_rec, parity_rec):
     assert is_ltl_definable(counting_rec)
     assert not is_ltl_definable(parity_rec)
+
+
+def test_quotients_recognize_like_scan(counting_rec, parity_rec):
+    # the quotients above, checked against the per-threshold scan
+    q = syntactic_quotient(counting_rec)
+    quotients = [q.recognizer, syntactic_quotient(q.recognizer).recognizer,
+                 syntactic_quotient(parity_rec).recognizer,
+                 syntactic_quotient(_padded_counting(counting_rec)).recognizer]
+    for rec in quotients:
+        for u in all_words(5, min_len=1):
+            if set(u) <= rec.h.keys():
+                assert_matches_scan(rec, u)

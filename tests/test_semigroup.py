@@ -2,6 +2,7 @@
 #-expressions, and the file format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costltl import (
     INF,
@@ -19,7 +20,8 @@ from costltl import (
     render_expr,
     validate_axioms,
 )
-from conftest import all_words, fixture
+from costltl.actions import S_ACTIONS, S_ELEMS
+from conftest import all_words, assert_matches_scan, fixture
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +158,33 @@ def test_recognize_empty_word_rejected(counting):
     _, rec = counting
     with pytest.raises(ValueError):
         recognize(rec, "")
+
+
+def test_achievable_values_rejects_negative_threshold(counting):
+    _, rec = counting
+    with pytest.raises(ValueError, match="threshold"):
+        achievable_values(rec, rec.image("ab"), -1)
+
+
+@pytest.mark.parametrize("name", ["counting.sg", "parity.sg"])
+def test_recognize_matches_scan_on_fixtures(name):
+    _, rec = load_semigroup(fixture(name))
+    for u in all_words(6, min_len=1):
+        if set(u) <= rec.h.keys():
+            assert_matches_scan(rec, u)
+
+
+@st.composite
+def action_recognizers(draw):
+    """Recognizers over S_ACTIONS: a random image of each letter, the
+    downward closure of a random set of elements as ideal, height 1-6."""
+    h = {a: draw(st.sampled_from(S_ELEMS)) for a in "ab"}
+    tops = draw(st.sets(st.sampled_from(S_ELEMS)))
+    ideal = frozenset(x for x in S_ELEMS if any(S_ACTIONS.le(x, t) for t in tops))
+    return Recognizer(S_ACTIONS, h, ideal, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(action_recognizers(), st.text("ab", min_size=1, max_size=7))
+def test_recognize_matches_scan_on_action_recognizers(rec, u):
+    assert_matches_scan(rec, u)
