@@ -2,13 +2,15 @@
 
 Two procedures are provided. The on-the-fly method guesses a path with nested
 cycles in the automaton, keeping only a bounded stack of (composed action,
-state) frames; closing a cycle stabilizes its composed action. It returns a
-pumpable witness script when the function is unbounded. The closure method
-builds the reachable part of the run semigroup: elements are sets of
-(source, composed action, target) triples closed toward worse actions and
-stored as minimal antichains, combined by product and stabilization. With no
-counters the same closure is the transition semigroup of the automaton, and
-`language_recognizer` turns it into a recognizer of the regular language.
+state) frames; closing a cycle stabilizes its composed action. When the
+function is unbounded it returns a witness script: a tuple of sharp-expression
+factors, one letter per step and one omega-sharp per closed cycle. The
+closure method builds the reachable part of the run semigroup: elements are
+sets of (source, composed action, target) triples closed toward worse actions
+and stored as minimal antichains, combined by product and stabilization.
+With no counters the same closure is the transition semigroup of the
+automaton, and `language_recognizer` turns it into a recognizer of the regular
+language.
 
 A composed action is one semigroup element per counter. A run witnesses
 unboundedness when its action on every counter avoids cr, crw and bot: each
@@ -17,12 +19,14 @@ of increments, so pumping the cycles n times yields value at least n.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import INF, Alphabet, saturate
 from .actions import S_ACTIONS, vec_product, vec_leq
 from .automata import S_TOKENS, eval_s
 from .formula import is_ltl, is_nltl, dualize
-from .semigroup import StabSemigroup, Recognizer, omega_sharp
+from .semigroup import (StabSemigroup, Recognizer, ELetter, ECat, EOmegaSharp,
+                        omega_sharp, instantiate)
 from .translate import nltl_to_s
 
 GOOD = frozenset(("w", "i", "e", "r"))
@@ -84,25 +88,15 @@ def contracted_edges(aut):
 @dataclass(frozen=True)
 class BoundednessResult:
     bounded: bool
-    # witness script when unbounded: nested tuple of letters and
-    # ("cycle", subscript) markers; None when bounded
+    # witness script when unbounded: tuple of sharp-expression factors,
+    # ELetter for a step and EOmegaSharp for a closed cycle, () for the empty
+    # word; None when bounded
     script: tuple = None
 
 
 def witness_word(script, n):
-    """Instantiate a witness script, repeating every cycle n times."""
-    out = []
-
-    def emit(items, reps):
-        for item in items:
-            if isinstance(item, tuple) and item and item[0] == "cycle":
-                for _ in range(reps):
-                    emit(item[1], reps)
-            else:
-                out.append(item)
-
-    emit(script, n)
-    return tuple(out)
+    """Instantiate a witness script, repeating every cycle n times (n >= 1)."""
+    return "".join(instantiate(e, 1, n) for e in script)
 
 
 def bounded_onthefly(aut):
@@ -164,12 +158,12 @@ def bounded_onthefly(aut):
     for move in moves:
         if move[0] == "step":
             if move[1] is not None:
-                stack[-1].append(move[1])
+                stack[-1].append(ELetter(move[1]))
         elif move[0] == "open":
             stack.append([])
         else:
-            cycle = stack.pop()
-            stack[-1].append(("cycle", tuple(cycle)))
+            body = stack.pop()
+            stack[-1].append(EOmegaSharp(reduce(ECat, body)))
     assert len(stack) == 1
     return BoundednessResult(False, tuple(stack[0]))
 

@@ -26,6 +26,7 @@ from .semigroup import (
     recognize,
     classify,
     parse_expr,
+    render_expr,
     load_semigroup,
     save_semigroup,
 )
@@ -42,16 +43,6 @@ def _parse_formula(args):
         raise ValueError("--alphabet is required with -f")
     alphabet = Alphabet(args.alphabet)
     return parse(args.formula, alphabet), alphabet
-
-
-def _render_script(script):
-    parts = []
-    for item in script:
-        if isinstance(item, tuple) and item and item[0] == "cycle":
-            parts.append("(%s)^n" % _render_script(item[1]))
-        else:
-            parts.append(item)
-    return "".join(parts)
 
 
 def _cmd_eval(args):
@@ -112,8 +103,8 @@ def _cmd_bounded(args):
     print("bounded" if result.bounded else "unbounded")
     if not result.bounded and result.script is not None and not args.porcelain:
         print("witness family: %s (pump 3: %s)"
-              % (_render_script(result.script) or "empty word",
-                 "".join(witness_word(result.script, 3)) or '""'))
+              % ("".join(map(render_expr, result.script)) or "empty word",
+                 witness_word(result.script, 3) or '""'))
     return 0 if result.bounded else 1
 
 

@@ -496,5 +496,6 @@ def load_semigroup(path):
 
 
 def save_semigroup(sg, path, rec=None):
+    text = dumps_semigroup(sg, rec)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_semigroup(sg, rec))
+        fh.write(text)

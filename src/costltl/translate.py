@@ -89,8 +89,6 @@ class _Translation:
                 branch({psi.right}),
             ]
         if isinstance(psi, UntilLeq):
-            if self.polarity != "B":
-                raise ValueError("U# operator in an nLTL<= translation")
             j = self.index[psi]
             return [
                 branch({psi.left, Next(psi)}),
@@ -98,8 +96,6 @@ class _Translation:
                 branch({psi.right}, (j, "r")),
             ]
         if isinstance(psi, ReleaseGeq):
-            if self.polarity != "S":
-                raise ValueError("R# operator in an LTL<= translation")
             j = self.index[psi]
             return [
                 branch({psi.left, psi.right, Next(psi)}, (j, "i")),

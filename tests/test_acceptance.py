@@ -114,7 +114,7 @@ def test_criterion_05_oracle_agreement_and_pumping():
         if not r1.bounded:
             assert r1.script is not None
             for n in range(1, 7):
-                u = "".join(witness_word(r1.script, n))
+                u = witness_word(r1.script, n)
                 assert eval_s(aut, u) >= n, (n, u)
     print("criterion 5 (boundedness oracles agree; witnesses pump): PASS")
 

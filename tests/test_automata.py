@@ -242,6 +242,22 @@ def test_loads_rejects_malformed_input():
                  "repeated element 'a'", id="counting.sg-repeated element"),
     pytest.param("count-letter-b.aut", ("states q0", "states q0 q0"),
                  "repeated state 'q0'", id="count-letter-b.aut-repeated state"),
+    pytest.param("count-letter-s.aut", ("kind S", "kind X"),
+                 "unknown kind 'X'", id="count-letter-s.aut-unknown kind"),
+    pytest.param("count-letter-s.aut", ("trans q0 a q0 : i", "trans q0 a q9 : i"),
+                 "dangling transition 'q0' -> 'q9'",
+                 id="count-letter-s.aut-dangling transition"),
+    pytest.param("count-letter-s.aut", ("trans q0 a q0 : i", "trans q0 a q0 : i | e"),
+                 r"expected 1 action sequences, got 'i \| e'",
+                 id="count-letter-s.aut-wrong arity"),
+    pytest.param("count-letter-s.aut", ("counters 1", "counters 0"),
+                 "actions given for a counterless automaton",
+                 id="count-letter-s.aut-counterless actions"),
+    pytest.param("count-letter-s.aut", ("initial q0", "# no initial line"),
+                 "missing field 'initial'", id="count-letter-s.aut-missing initial"),
+    pytest.param("count-letter-s.aut", ("trans q0 a q0 : i", "trans q0 a : i"),
+                 "bad transition 'q0 a : i'", id="count-letter-s.aut-bad transition"),
+    ("count-letter-s.aut", "exit q0 : cr", "exit on non-final state 'q0'"),
 ])
 def test_loaders_reject_unknown_and_repeated_fields(name, extra, message):
     with open(fixture(name), encoding="utf-8") as fh:

@@ -10,13 +10,18 @@ from costltl import (
     bounded_closure,
     bounded_formula,
     bounded_onthefly,
+    classify,
     dualize,
     eval_s,
+    instantiate,
     load_automaton,
+    load_semigroup,
     loads_automaton,
     nltl_to_s,
     parse,
+    parse_expr,
     render,
+    render_expr,
     witness_word,
 )
 from costltl.automata import S_TOKENS
@@ -55,7 +60,7 @@ def test_witness_pumping():
         result = bounded_onthefly(aut)
         assert not result.bounded and result.script is not None, name
         for n in range(1, 7):
-            u = "".join(witness_word(result.script, n))
+            u = witness_word(result.script, n)
             assert eval_s(aut, u) >= n, (name, n, u)
 
 
@@ -65,7 +70,7 @@ def test_witness_pumping_from_formula():
     result = bounded_onthefly(aut)
     assert not result.bounded
     for n in range(1, 7):
-        u = "".join(witness_word(result.script, n))
+        u = witness_word(result.script, n)
         assert eval_s(aut, u) >= n, (n, u)
 
 
@@ -78,8 +83,32 @@ def test_unbounded_verdicts_have_growing_samples():
             continue
         assert result.script is not None, render(phi)
         for n in (1, 4):
-            u = "".join(witness_word(result.script, n))
+            u = witness_word(result.script, n)
             assert eval_s(aut, u) >= n, (render(phi), n, u)
+
+
+def _rendered(script):
+    return "".join(map(render_expr, script))
+
+
+def test_witnesses_are_sharp_expressions():
+    # every witness reads back through parse_expr and pumps to the same words
+    for phi in corpus():
+        result = bounded_onthefly(nltl_to_s(dualize(phi, AB), AB))
+        if result.bounded or result.script == ():
+            continue
+        expr = parse_expr(_rendered(result.script))
+        for n in (1, 2, 3):
+            assert instantiate(expr, 1, n) == witness_word(result.script, n), render(phi)
+
+
+def test_witnesses_classify_unbounded_on_counting_semigroup():
+    _, counting = load_semigroup(fixture("counting.sg"))
+    phi = parse("!a U# END", AB)
+    for aut in (load_automaton(fixture("count-letter-s.aut")),
+                nltl_to_s(dualize(phi, AB), AB)):
+        text = _rendered(bounded_onthefly(aut).script)
+        assert classify(counting, parse_expr(text)) == "F-infinity", text
 
 
 def test_compose_actions_per_counter():
@@ -190,7 +219,7 @@ def test_random_automata_closure_agrees_and_witnesses_pump(aut):
     assert bounded_closure(aut).bounded == result.bounded
     if not result.bounded:
         for n in (1, 2, 3):
-            assert eval_s(aut, "".join(witness_word(result.script, n))) >= n, n
+            assert eval_s(aut, witness_word(result.script, n)) >= n, n
 
 
 def test_mixed_fragment_rejected():

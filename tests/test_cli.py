@@ -36,9 +36,9 @@ def test_bounded_verdicts_and_exit_codes(capsys):
     assert out.splitlines()[0] == "bounded"
     # the witness follows the order of contracted_edges, which must not
     # depend on the hash seed
-    for formula, witness in [("(a | X a | X F a) U# END", "b(b)^n (pump 3: bbbb)"),
-                             ("(a U# END) | (b U# END)", "a(ab)^n (pump 3: aababab)"),
-                             ("(a U# END) & (b U# END)", "a(a)^n (pump 3: aaaa)")]:
+    for formula, witness in [("(a | X a | X F a) U# END", "bb^ws (pump 3: bbbb)"),
+                             ("(a U# END) | (b U# END)", "a(ab)^ws (pump 3: aababab)"),
+                             ("(a U# END) & (b U# END)", "aa^ws (pump 3: aaaa)")]:
         code, out, _ = run(capsys, "bounded", "--alphabet", "ab",
                            "-f", formula, "--method", "both")
         assert code == 1
@@ -81,6 +81,34 @@ def test_compile_s_and_eval(capsys, tmp_path):
     code, out, _ = run(capsys, "eval-aut", "-a", out_path, "-w", "aabaa")
     assert code == 0
     assert out.strip() in ("3", "4")  # within 1 of |u|_a
+
+
+def test_compile_s_nltl_input(capsys, tmp_path):
+    out_path = str(tmp_path / "release.aut")
+    code, out, _ = run(capsys, "compile-s", "--nltl", "--alphabet", "ab",
+                       "-f", "a R# b", "-o", out_path)
+    assert code == 0
+    assert out.splitlines()[0] == "wrote %s (2 states, formula a R# b)" % out_path
+    assert load_automaton(out_path).kind == "S"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--nltl", "-f", "a U# b"], "error: --nltl expects a pure nLTL<= formula"),
+    (["-f", "a R# b"], "error: expected an LTL<= formula to dualize (or pass --nltl)"),
+])
+def test_compile_s_rejects_wrong_fragment(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "out.aut"
+    code, out, err = run(capsys, "compile-s", "--alphabet", "ab", *argv,
+                         "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == message
+    assert not out_path.exists()
+
+
+def test_formula_needs_alphabet(capsys):
+    code, out, err = run(capsys, "eval", "-f", "a", "-w", "a")
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == "error: --alphabet is required with -f"
 
 
 def test_semigroup_check_ok(capsys):
@@ -126,6 +154,22 @@ def test_minimize_aperiodic_definable(capsys, tmp_path):
     assert code == 1 and out.strip() == "not-definable"
 
 
+def test_recognize_needs_recognizer_block(capsys):
+    code, out, err = run(capsys, "semigroup", "recognize",
+                         "-s", fixture("saction.sg"), "-w", "a")
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].endswith("has no recognizer block (h/ideal)")
+
+
+@pytest.mark.parametrize("argv", [["-s", fixture("counting.sg"), "--alphabet", "ab",
+                                   "-f", "G b"], []], ids=["both", "neither"])
+def test_definable_needs_exactly_one_source(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["definable"] + argv)
+    assert exc.value.code == 2
+    assert "definable needs exactly one of -s or -f" in capsys.readouterr().err
+
+
 def test_definable_from_counterfree_formula(capsys):
     code, out, _ = run(capsys, "definable", "--alphabet", "ab", "-f", "G b")
     assert code == 0 and out.strip() == "definable"
@@ -142,6 +186,14 @@ def test_corpus_runs_clean(capsys):
     assert len(lines) >= 8
     assert all(" ok " in ln for ln in lines)
     assert any("bounded unbounded" in ln for ln in lines)
+
+
+def test_corpus_reports_formula_file_without_alphabet(capsys, tmp_path):
+    (tmp_path / "noalpha.ltl").write_text("a U# END\n", encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    assert out.splitlines()[0].split(None, 2) == [
+        "noalpha.ltl", "fail", "formula file must start with 'alphabet <letters>'"]
 
 
 def test_undeclared_semigroup_name_exits_2(capsys, tmp_path):

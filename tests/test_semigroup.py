@@ -15,9 +15,11 @@ from costltl import (
     instantiate,
     load_semigroup,
     loads_semigroup,
+    make_semigroup,
     parse_expr,
     recognize,
     render_expr,
+    save_semigroup,
     validate_axioms,
 )
 from costltl.actions import S_ACTIONS, S_ELEMS
@@ -118,6 +120,15 @@ def test_serialization_roundtrip(counting, parity):
         assert sg2 == sg
         assert rec2 == rec
         assert dumps_semigroup(sg2, rec2) == text
+
+
+def test_save_keeps_old_file_when_dump_fails(tmp_path):
+    path = tmp_path / "old.sg"
+    path.write_text("old content\n", encoding="utf-8")
+    partial = make_semigroup(("a", "b"), {("a", "a"): "a"}, [], {})
+    with pytest.raises(KeyError):
+        save_semigroup(partial, str(path))
+    assert path.read_text(encoding="utf-8") == "old content\n"
 
 
 def test_loads_rejects_malformed(counting):
