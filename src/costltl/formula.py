@@ -5,59 +5,109 @@ expanded at parse time. U# stands for the bounded until (at most N mistakes),
 R# for its dual release (at least N confirmations).
 """
 
-from dataclasses import dataclass
+import weakref
+from functools import partial
 
 from .core import Alphabet
 
+# (class, *fields) -> weak reference to the live node with those fields. A
+# plain dict: with a WeakValueDictionary, whose get, set and removal run in
+# Python, building and dropping a node took about 1.6 times as long.
+_INTERNED = {}
 
-@dataclass(frozen=True)
+
+def _forget(key, ref):
+    # a dead node's callback drops its entry, unless a newer node took it
+    # between the reference being cleared and the callback running
+    if _INTERNED.get(key) is ref:
+        del _INTERNED[key]
+
+
 class Node:
-    pass
+    """A formula node. Nodes are hash-consed: constructing one returns the
+    live node with the same class and fields if there is one, so equal
+    formulae are the same object and == and hash are O(1) identity tests.
+    Nodes are immutable. Each carries its size, and its sort key once asked
+    for. A subclass's __slots__ names its fields."""
+
+    __slots__ = ("__weakref__", "_size", "_sort_key")
+    atomic = False  # Atom and End: the letter tests
+    reduced = False  # atomic or Next: untouched by the epsilon reductions
+
+    def __new__(cls, *fields):
+        key = (cls,) + fields
+        ref = _INTERNED.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
+            node = object.__new__(cls)
+            size = 1
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+                if isinstance(value, Node):
+                    size += value._size
+            object.__setattr__(node, "_size", size)
+            _INTERNED[key] = weakref.ref(node, partial(_forget, key))
+        return node
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, *_):
+        raise AttributeError("formula nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the interning constructor
+        return type(self), self._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._fields())))
 
 
-@dataclass(frozen=True)
 class Atom(Node):
-    letter: str
+    __slots__ = ("letter",)
+    atomic = reduced = True
 
 
-@dataclass(frozen=True)
 class End(Node):
-    pass
+    __slots__ = ()
+    atomic = reduced = True
 
 
-@dataclass(frozen=True)
 class And(Node):
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Node):
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Next(Node):
-    operand: Node
+    __slots__ = ("operand",)
+    reduced = True
 
 
-@dataclass(frozen=True)
 class Until(Node):
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class UntilLeq(Node):
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class ReleaseGeq(Node):
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
+
+
+def children(node):
+    if node.atomic:
+        return ()
+    if type(node) is Next:
+        return (node.operand,)
+    return (node.left, node.right)
 
 
 END = End()
@@ -129,98 +179,94 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, alphabet, text_len):
-        self.tokens = tokens
-        self.alphabet = alphabet
-        self.pos = 0
-        self.text_len = text_len
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text_len)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError("expected %s, got %s" % (kind, tok[0]), tok[1])
-        return tok
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() is not None and self.peek()[0] == "|":
-            self.take()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_until()
-        while self.peek() is not None and self.peek()[0] == "&":
-            self.take()
-            node = And(node, self.parse_until())
-        return node
-
-    def parse_until(self):
-        left = self.parse_unary()
-        tok = self.peek()
-        if tok is not None and tok[0] in ("U", "U#", "R#"):
-            self.take()
-            right = self.parse_until()
-            if tok[0] == "U":
-                return Until(left, right)
-            if tok[0] == "U#":
-                return UntilLeq(left, right)
-            return ReleaseGeq(left, right)
-        return left
-
-    def parse_unary(self):
-        tok = self.take()
-        kind = tok[0]
-        if kind == "atom":
-            a = tok[2]
-            if a not in self.alphabet:
-                raise ParseError("atom %r outside alphabet" % a, tok[1])
-            return Atom(a)
-        if kind == "END":
-            return END
-        if kind == "TRUE":
-            return true_formula(self.alphabet)
-        if kind == "FALSE":
-            return false_formula(self.alphabet)
-        if kind == "!":
-            sub = self.take()
-            if sub[0] != "atom":
-                raise ParseError("! applies to atoms only", sub[1])
-            a = sub[2]
-            if a not in self.alphabet:
-                raise ParseError("atom %r outside alphabet" % a, sub[1])
-            return neg_atom(a, self.alphabet)
-        if kind == "X":
-            return Next(self.parse_unary())
-        if kind == "F":
-            return Until(true_formula(self.alphabet), self.parse_unary())
-        if kind == "G":
-            return Until(self.parse_unary(), END)
-        if kind == "(":
-            node = self.parse_or()
-            self.expect(")")
-            return node
-        raise ParseError("unexpected token %s" % kind, tok[1])
+# precedence and constructor of the binary operators; | and & group to the
+# left, the until-level operators to the right
+_BINARY = {"|": (0, Or), "&": (1, And), "U": (2, Until), "U#": (2, UntilLeq),
+           "R#": (2, ReleaseGeq)}
+_PREFIX = ("X", "F", "G")
 
 
 def parse(text, alphabet):
+    """Operator-precedence parse on explicit stacks, so that nesting depth
+    (X chains, parentheses, until chains) is not bounded by recursion."""
     alphabet = Alphabet(alphabet)
-    parser = _Parser(_tokenize(text), alphabet, len(text))
-    node = parser.parse_or()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError("trailing input", tok[1])
+    tokens = _tokenize(text)
+    pos = 0
+    operands = []
+    ops = []  # pending "(", prefix and binary operators, innermost last
+
+    def take():
+        nonlocal pos
+        if pos == len(tokens):
+            raise ParseError("unexpected end of input", len(text))
+        pos += 1
+        return tokens[pos - 1]
+
+    def letter(tok):
+        if tok[0] != "atom":
+            raise ParseError("! applies to atoms only", tok[1])
+        if tok[2] not in alphabet:
+            raise ParseError("atom %r outside alphabet" % tok[2], tok[1])
+        return tok[2]
+
+    def leaf(tok):
+        kind = tok[0]
+        if kind == "atom":
+            return Atom(letter(tok))
+        if kind == "END":
+            return END
+        if kind == "TRUE":
+            return true_formula(alphabet)
+        if kind == "FALSE":
+            return false_formula(alphabet)
+        if kind == "!":
+            return neg_atom(letter(take()), alphabet)
+        raise ParseError("unexpected token %s" % kind, tok[1])
+
+    def reduce_binary(level):
+        # apply the pending binary operators of precedence >= level
+        while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] >= level:
+            right = operands.pop()
+            operands[-1] = _BINARY[ops.pop()][1](operands[-1], right)
+
+    while True:
+        tok = take()
+        if tok[0] in _PREFIX or tok[0] == "(":
+            ops.append(tok[0])
+            continue
+        operands.append(leaf(tok))
+        while True:
+            # a complete operand: apply its prefix operators, close groups
+            while ops and ops[-1] in _PREFIX:
+                op, phi = ops.pop(), operands[-1]
+                if op == "X":
+                    operands[-1] = Next(phi)
+                elif op == "F":
+                    operands[-1] = Until(true_formula(alphabet), phi)
+                else:
+                    operands[-1] = Until(phi, END)
+            tok = tokens[pos] if pos < len(tokens) else None
+            if tok is None or tok[0] != ")":
+                break
+            reduce_binary(0)
+            if not ops:
+                raise ParseError("trailing input", tok[1])
+            ops.pop()
+            pos += 1
+        if tok is None:
+            break
+        if tok[0] not in _BINARY:
+            if "(" in ops:
+                raise ParseError("expected ), got %s" % tok[0], tok[1])
+            raise ParseError("trailing input", tok[1])
+        level = _BINARY[tok[0]][0]
+        reduce_binary(level + 1 if level == 2 else level)
+        ops.append(tok[0])
+        pos += 1
+    reduce_binary(0)
+    if ops:
+        raise ParseError("unexpected end of input", len(text))
+    node = operands[0]
     if not (is_ltl(node) or is_nltl(node)):
         raise ParseError("formula mixes U# and R#", 0)
     return node
@@ -228,60 +274,59 @@ def parse(text, alphabet):
 
 _LEVEL_OR, _LEVEL_AND, _LEVEL_UNTIL, _LEVEL_UNARY = 0, 1, 2, 3
 
-
-def _render(node, min_level):
-    if isinstance(node, Atom):
-        return node.letter
-    if isinstance(node, End):
-        return "END"
-    if isinstance(node, Next):
-        return "X " + _render(node.operand, _LEVEL_UNARY)
-    if isinstance(node, Or):
-        text, level = _render(node.left, _LEVEL_OR) + " | " + _render(node.right, _LEVEL_AND), _LEVEL_OR
-    elif isinstance(node, And):
-        text, level = _render(node.left, _LEVEL_AND) + " & " + _render(node.right, _LEVEL_UNTIL), _LEVEL_AND
-    else:
-        op = {Until: "U", UntilLeq: "U#", ReleaseGeq: "R#"}[type(node)]
-        text = _render(node.left, _LEVEL_UNTIL + 1) + " " + op + " " + _render(node.right, _LEVEL_UNTIL)
-        level = _LEVEL_UNTIL
-    if level < min_level:
-        return "(" + text + ")"
-    return text
+# operator text, own level, and the levels its left and right operands need
+_RENDER = {Or: (" | ", _LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
+           And: (" & ", _LEVEL_AND, _LEVEL_AND, _LEVEL_UNTIL),
+           Until: (" U ", _LEVEL_UNTIL, _LEVEL_UNTIL + 1, _LEVEL_UNTIL),
+           UntilLeq: (" U# ", _LEVEL_UNTIL, _LEVEL_UNTIL + 1, _LEVEL_UNTIL),
+           ReleaseGeq: (" R# ", _LEVEL_UNTIL, _LEVEL_UNTIL + 1, _LEVEL_UNTIL)}
 
 
 def render(node):
-    """Inverse of parse: parse(render(phi), alphabet) == phi."""
-    return _render(node, _LEVEL_OR)
-
-
-def children(node):
-    if isinstance(node, (Atom, End)):
-        return ()
-    if isinstance(node, Next):
-        return (node.operand,)
-    return (node.left, node.right)
+    """Inverse of parse: parse(render(phi), alphabet) is phi."""
+    out = []
+    stack = [(node, _LEVEL_OR)]  # (node, the level it needs) or literal text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        n, min_level = item
+        if type(n) is Atom:
+            out.append(n.letter)
+        elif type(n) is End:
+            out.append("END")
+        elif type(n) is Next:
+            out.append("X ")
+            stack.append((n.operand, _LEVEL_UNARY))
+        else:
+            op, level, left_level, right_level = _RENDER[type(n)]
+            if level < min_level:
+                out.append("(")
+                stack.append(")")
+            stack += [(n.right, right_level), op, (n.left, left_level)]
+    return "".join(out)
 
 
 def size(node):
-    return 1 + sum(size(c) for c in children(node))
+    """Number of nodes in the syntax tree, shared subtrees counted per
+    occurrence; computed once, when the node is built."""
+    return node._size
 
 
 def subformulas(node):
     """The least subformula-closed set containing node, in pre-order of first
     occurrence (left before right), so bounded operators are indexed
     deterministically left-to-right."""
-    seen = []
-    seen_set = set()
-
-    def walk(n):
-        if n not in seen_set:
-            seen_set.add(n)
-            seen.append(n)
-        for c in children(n):
-            walk(c)
-
-    walk(node)
-    return seen
+    seen = {}
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            # a node seen before had its whole subtree visited then
+            seen[n] = None
+            stack += reversed(children(n))
+    return list(seen)
 
 
 def counter_indices(node, kind):
@@ -335,4 +380,9 @@ def dualize(node, alphabet):
 
 
 def sort_key(node):
-    return (size(node), render(node))
+    try:
+        return node._sort_key
+    except AttributeError:
+        key = (size(node), render(node))
+        object.__setattr__(node, "_sort_key", key)
+        return key

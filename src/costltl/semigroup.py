@@ -288,7 +288,8 @@ class ESharp(ExprNode):
 
 def parse_expr(text):
     """Grammar: juxtaposition concatenates; superscripts ^w (omega),
-    ^ws (omega-sharp), ^# (plain sharp); parentheses group."""
+    ^ws (omega-sharp), ^# (plain sharp); parentheses group. A letter is any
+    non-blank symbol other than (, ) and ^."""
     pos = 0
 
     def skip_ws():
@@ -320,7 +321,8 @@ def parse_expr(text):
             if pos >= len(text) or text[pos] != ")":
                 raise ValueError("unbalanced parenthesis at position %d" % pos)
             pos += 1
-        elif text[pos].isalpha():
+        elif text[pos] != "^":
+            # any non-blank symbol but the grammar's own (, ) and ^
             node = ELetter(text[pos])
             pos += 1
         else:

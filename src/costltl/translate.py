@@ -9,8 +9,7 @@ and into per-state accepting exits.
 
 from .core import Alphabet
 from .formula import (
-    Atom,
-    End,
+    END,
     And,
     Or,
     Next,
@@ -25,22 +24,6 @@ from .formula import (
 from .automata import CostAutomaton, _runs_value
 
 
-def is_atomic(f):
-    return isinstance(f, (Atom, End))
-
-
-def is_reduced_member(f):
-    return is_atomic(f) or isinstance(f, Next)
-
-
-def is_reduced(Y):
-    return all(is_reduced_member(f) for f in Y)
-
-
-def is_consistent(Y):
-    return sum(1 for f in Y if is_atomic(f)) <= 1
-
-
 class _Translation:
     def __init__(self, phi, alphabet, polarity):
         self.phi = phi
@@ -51,6 +34,7 @@ class _Translation:
         self.k = len(self.index)
         self._closure_memo = {}
         self._end_memo = {}
+        self._endpoint_memo = {}
 
     def spawn_resets(self, added):
         """Reset events for counting obligations that surface right now.
@@ -71,7 +55,7 @@ class _Translation:
         Yields (new pseudo-state, events) with events a tuple of
         (counter, token) pairs.
         """
-        candidates = [f for f in Y if not is_reduced_member(f)]
+        candidates = [f for f in Y if not f.reduced]
         psi = max(candidates, key=sort_key)
         rest = Y - {psi}
 
@@ -105,16 +89,22 @@ class _Translation:
         raise TypeError("unexpected member %r" % (psi,))
 
     def closure(self, Y):
-        """All reduced endpoints reachable by epsilon reductions from Y, with
-        composed events."""
+        """All reduced endpoints reachable by epsilon reductions from Y that
+        have a letter step (see endpoint), with composed events."""
         if Y in self._closure_memo:
             return self._closure_memo[Y]
-        if is_reduced(Y):
-            result = {(Y, ())}
+        if all(f.reduced for f in Y):
+            # an endpoint with no letter step starts no transition; dropping
+            # it here keeps it out of every closure above
+            result = {(Y, ())} if self.endpoint(Y) is not None else set()
         else:
             result = set()
             for Z, events in self.reduction_branches(Y):
-                result.update((W, events + ev) for W, ev in self.closure(Z))
+                if events:
+                    result.update((W, events + ev) for W, ev in self.closure(Z))
+                else:
+                    # most branches carry no event: share Z's pairs as they are
+                    result.update(self.closure(Z))
         self._closure_memo[Y] = result
         return result
 
@@ -126,7 +116,7 @@ class _Translation:
         an R# obligation starting at the very end has no later position to
         constrain and is vacuously discharged.
         """
-        candidates = [f for f in Y if not isinstance(f, End)]
+        candidates = [f for f in Y if f is not END]
         psi = max(candidates, key=sort_key)
         rest = Y - {psi}
 
@@ -135,7 +125,8 @@ class _Translation:
             now_fresh = (fresh | {m for m in added if m not in rest}) & (rest | added)
             return (rest | added, frozenset(now_fresh), tuple(events))
 
-        if isinstance(psi, (Atom, Next)):
+        if psi.reduced:
+            # a letter test or a next step: unsatisfiable at the end
             return []
         if isinstance(psi, And):
             return [branch({psi.left, psi.right})]
@@ -160,7 +151,7 @@ class _Translation:
         key = (Y, fresh)
         if key in self._end_memo:
             return self._end_memo[key]
-        if all(isinstance(f, End) for f in Y):
+        if all(f is END for f in Y):
             result = frozenset({()})
         else:
             finals = set()
@@ -177,6 +168,23 @@ class _Translation:
             seqs[j - 1].append(token)
         return tuple(tuple(s) for s in seqs)
 
+    def endpoint(self, Z):
+        """(letters, target) of a reduced pseudo-state Z, or None when Z reads
+        no letter or its target is inconsistent."""
+        if Z in self._endpoint_memo:
+            return self._endpoint_memo[Z]
+        # Z reads the letters that all its atoms name; End names none
+        atoms = {f.letter if f is not END else None for f in Z if f.atomic}
+        letters = [a for a in self.alphabet if atoms <= {a}]
+        # reading a letter consumes the atoms and strips one X from every
+        # Next member; a target holding two letter tests is unsatisfiable
+        target = frozenset(f.operand for f in Z if type(f) is Next)
+        step = None
+        if letters and sum(f.atomic for f in target) <= 1:
+            step = letters, target
+        self._endpoint_memo[Z] = step
+        return step
+
     def build(self):
         start = frozenset({self.phi})
         states = {start}
@@ -189,18 +197,7 @@ class _Translation:
             if final_events:
                 exits[Y] = tuple(sorted({self.events_to_actions(ev) for ev in final_events}))
             for Z, events in self.closure(Y):
-                # an endpoint reads the letters that all its atoms name; End
-                # names none
-                atoms = {f.letter if isinstance(f, Atom) else None
-                         for f in Z if is_atomic(f)}
-                letters = [a for a in self.alphabet if atoms <= {a}]
-                if not letters:
-                    continue
-                # reading a letter consumes the atoms and strips one X from
-                # every Next member
-                target = frozenset(f.operand for f in Z if isinstance(f, Next))
-                if not is_consistent(target):
-                    continue
+                letters, target = self.endpoint(Z)
                 actions = self.events_to_actions(events)
                 transitions.update((Y, a, actions, target) for a in letters)
                 if target not in states:

@@ -111,6 +111,19 @@ def test_witnesses_classify_unbounded_on_counting_semigroup():
         assert classify(counting, parse_expr(text)) == "F-infinity", text
 
 
+def test_witness_over_digit_alphabet_reads_back():
+    # parse_expr reads digits and other non-alphabetic letters too
+    with open(fixture("count-letter-s.aut"), encoding="utf-8") as fh:
+        text = fh.read().replace("alphabet ab", "alphabet 01")
+    text = text.replace(" a ", " 0 ").replace(" b ", " 1 ")
+    script = bounded_onthefly(loads_automaton(text)).script
+    rendered = _rendered(script)
+    assert rendered == "0^ws0"
+    expr = parse_expr(rendered)
+    for n in (1, 2, 3):
+        assert instantiate(expr, 1, n) == witness_word(script, n) == "0" * (n + 1)
+
+
 def test_compose_actions_per_counter():
     # input is one transition's per-counter token sequences
     assert compose_actions(((), ())) == ("e", "e")

@@ -29,6 +29,21 @@ def test_eval_infinite_value(capsys):
     assert out.strip() == "inf"
 
 
+def test_eval_deep_formula(capsys):
+    # parse is iterative, so X^3000 a parses and a short word evaluates; the
+    # reference semantics still recurses along the word, and running out of
+    # recursion there is a clean exit 2
+    deep = "X " * 3000 + "a"
+    code, out, _ = run(capsys, "eval", "--alphabet", "ab", "-f", deep, "-w", "ab")
+    assert (code, out.strip()) == (0, "inf")
+    code, out, err = run(capsys, "eval", "--alphabet", "ab", "-f", deep,
+                         "-w", "b" * 3000 + "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: maximum recursion depth exceeded")
+    assert "Traceback" not in err
+
+
 def test_bounded_verdicts_and_exit_codes(capsys):
     code, out, _ = run(capsys, "bounded", "--alphabet", "ab",
                        "-f", "(b | X a | X F a) U# END", "--method", "both")

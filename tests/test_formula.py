@@ -1,4 +1,7 @@
-"""Formula parsing, rendering, and dualization."""
+"""Formula parsing, rendering, dualization and node interning."""
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from costltl import (
     And,
     Atom,
     END,
+    End,
     Next,
     Or,
     ParseError,
@@ -22,6 +26,7 @@ from costltl import (
     sem_inf,
     sem_sup,
 )
+from costltl.formula import size, subformulas
 from conftest import AB, CORPUS_TEXTS, all_words, corpus
 
 
@@ -44,14 +49,8 @@ def test_corpus_parses_and_is_ltl():
     for text, phi in zip(CORPUS_TEXTS, corpus()):
         assert is_ltl(phi), text
         assert not is_nltl(phi) or not any(
-            isinstance(s, UntilLeq) for s in _subs(phi)
+            isinstance(s, UntilLeq) for s in subformulas(phi)
         ), text
-
-
-def _subs(phi):
-    from costltl.formula import subformulas
-
-    return subformulas(phi)
 
 
 def test_render_parse_roundtrip_corpus():
@@ -112,3 +111,61 @@ def test_dualize_within_correction_random(phi, u):
         assert lo == hi
     else:
         assert abs(hi - lo) <= 1
+
+
+def _rebuilt(phi):
+    """A structural copy of phi made through the constructors."""
+    if isinstance(phi, Atom):
+        return Atom(phi.letter)
+    if phi is END:
+        return End()
+    if isinstance(phi, Next):
+        return Next(_rebuilt(phi.operand))
+    return type(phi)(_rebuilt(phi.left), _rebuilt(phi.right))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_formulas())
+def test_equal_formulae_are_one_object(phi):
+    # hypothesis builds phi through the constructors; parse and a rebuild
+    # must hand back the very same node
+    assert parse(render(phi), AB) is phi
+    assert _rebuilt(phi) is phi
+    assert copy.copy(phi) is phi
+    assert copy.deepcopy(phi) is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+
+
+def test_parse_constructors_and_dualize_share_nodes():
+    assert parse("a & X (b U# END)", AB) is And(Atom("a"), Next(UntilLeq(Atom("b"), End())))
+    assert parse("F a", AB) is Until(Or(Atom("a"), Or(Atom("b"), END)), Atom("a"))
+    # !a is b | END; the dual of X a is X !a | END
+    assert dualize(Atom("a"), AB) is parse("!a", AB)
+    assert dualize(parse("X a", AB), AB) is parse("X !a | END", AB)
+    for phi in corpus():
+        assert dualize(phi, AB) is dualize(_rebuilt(phi), AB)
+
+
+def test_nodes_are_immutable():
+    phi = parse("a U# b", AB)
+    with pytest.raises(AttributeError):
+        phi.left = Atom("b")
+    with pytest.raises(AttributeError):
+        del phi.right
+    assert not hasattr(phi, "__dict__")
+    assert phi.left is Atom("a")
+
+
+@pytest.mark.parametrize("text, canonical, nodes, distinct", [
+    ("X " * 3000 + "a", "X " * 3000 + "a", 3001, 3001),
+    ("(" * 3000 + "a" + ")" * 3000, "a", 1, 1),
+    (" U ".join(["a"] * 3000), " U ".join(["a"] * 3000), 5999, 3000),
+    ("X (" * 1500 + "a" + ")" * 1500, "X " * 1500 + "a", 1501, 1501),
+], ids=["next-chain", "parentheses", "until-chain", "next-parentheses"])
+def test_deep_formulae_parse_and_render(text, canonical, nodes, distinct):
+    # parse, render, size and subformulas use no recursion
+    phi = parse(text, AB)
+    assert render(phi) == canonical
+    assert parse(canonical, AB) is phi
+    assert size(phi) == nodes
+    assert len(subformulas(phi)) == distinct

@@ -1,16 +1,21 @@
 """Formula-to-automaton compilation: exact on the inf side, correct up to
 cost equivalence on the sup side."""
 
+import hashlib
+import random
+
 import pytest
 
 from costltl import (
     INF,
     dualize,
+    dumps_automaton,
     eval_b,
     eval_s,
     ltl_to_b,
     nltl_to_s,
     parse,
+    rename_states,
     render,
     sem_inf,
     sem_sup,
@@ -67,3 +72,43 @@ def test_fragment_mismatch_rejected():
         ltl_to_b(parse("a R# b", AB), AB)
     with pytest.raises(ValueError):
         nltl_to_s(parse("a U# b", AB), AB)
+
+
+
+def _criterion9_distinct(count):
+    """The first `count` distinct formulae of criterion 9's seed-90 draw."""
+    from test_acceptance import _random_formula
+
+    rng = random.Random(90)
+    out, seen = [], set()
+    while len(out) < count:
+        phi = _random_formula(rng, 4)
+        # criterion 9 draws a word after each formula
+        "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
+        if phi not in seen:
+            seen.add(phi)
+            out.append(phi)
+    return out
+
+
+def _dumps_digest(formulas):
+    digest = hashlib.sha256()
+    for phi in formulas:
+        for aut in (ltl_to_b(phi, AB), nltl_to_s(dualize(phi, AB), AB)):
+            digest.update(dumps_automaton(rename_states(aut)).encode())
+    return digest.hexdigest()
+
+
+# sha256 of the renamed dumps of ltl_to_b(phi) and nltl_to_s(dualize(phi)),
+# recorded before formula nodes were interned: any change to the translation
+# must leave every compiled automaton byte-identical.
+@pytest.mark.parametrize("formulas, expected", [
+    pytest.param(corpus,
+                 "d73604146f8090c240e7da033bc3f53fb36a130a56d613850cda663c9a649242",
+                 id="corpus"),
+    pytest.param(lambda: _criterion9_distinct(60),
+                 "fd19fa265cda1613aa2ec500e8e84307a1ac078a84855b20594cdc514a37032c",
+                 id="criterion9"),
+])
+def test_compiled_automata_are_byte_identical(formulas, expected):
+    assert _dumps_digest(formulas()) == expected
