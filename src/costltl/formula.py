@@ -349,34 +349,35 @@ def is_nltl(node):
 
 def dualize(node, alphabet):
     """Negation pushed to the leaves: turns an LTL<= formula into the nLTL<=
-    formula for the complement budget semantics."""
+    formula for the complement budget semantics. Each subformula is negated
+    once, children before parents, so deep formulae need no recursion."""
     alphabet = Alphabet(alphabet)
     if not is_ltl(node):
         raise ValueError("dualize expects a pure LTL<= formula")
-
-    def neg(n):
-        if isinstance(n, Atom):
-            return neg_atom(n.letter, alphabet)
-        if isinstance(n, End):
-            return or_fold([Atom(b) for b in alphabet])
-        if isinstance(n, And):
-            return Or(neg(n.left), neg(n.right))
-        if isinstance(n, Or):
-            return And(neg(n.left), neg(n.right))
-        if isinstance(n, Next):
+    neg = {}
+    for n in sorted(subformulas(node), key=size):
+        kind = type(n)
+        if kind is Atom:
+            out = neg_atom(n.letter, alphabet)
+        elif kind is End:
+            out = or_fold([Atom(b) for b in alphabet])
+        elif kind is And:
+            out = Or(neg[n.left], neg[n.right])
+        elif kind is Or:
+            out = And(neg[n.left], neg[n.right])
+        elif kind is Next:
             # Xφ is false at the last position, so its negation holds there.
-            return Or(Next(neg(n.operand)), END)
-        if isinstance(n, Until):
+            out = Or(Next(neg[n.operand]), END)
+        elif kind is Until:
             # the refuting position must itself refute the until target
-            nr = neg(n.right)
-            return Until(nr, And(nr, Or(neg(n.left), END)))
-        if isinstance(n, UntilLeq):
+            nr = neg[n.right]
+            out = Until(nr, And(nr, Or(neg[n.left], END)))
+        else:  # UntilLeq: is_ltl rules out ReleaseGeq
             # R counts from the next position on, so it cannot refute the
             # until target holding right here; conjoin that refutation.
-            return And(neg(n.right), ReleaseGeq(neg(n.left), neg(n.right)))
-        raise ValueError("cannot negate %r" % (n,))
-
-    return neg(node)
+            out = And(neg[n.right], ReleaseGeq(neg[n.left], neg[n.right]))
+        neg[n] = out
+    return neg[node]
 
 
 def sort_key(node):

@@ -1,8 +1,13 @@
 """Reference semantics: satisfaction (u,n) |= phi, inf and sup valuations.
 
-This is the trusted oracle for the rest of the package, so it is written for
-clarity: plain structural recursion with memoization over (subformula,
-position) for a fixed word and budget.
+`models` is the plain recursive definition at one budget n, memoised over
+(subformula, position). `sem_inf` and `sem_sup` do not rerun it for each n:
+they read the value at position 0 of one bottom-up table that holds, for
+every subformula and every position, the least (inf) or greatest (sup)
+budget that satisfies it there. This is the path labelling of Markey and
+Schnoebelen ("Model checking a path", CONCUR 2003) lifted from booleans to
+budgets; it takes no recursion, so words and formulae thousands deep are
+fine.
 """
 
 from .core import INF
@@ -17,6 +22,8 @@ from .formula import (
     ReleaseGeq,
     is_ltl,
     is_nltl,
+    size,
+    subformulas,
 )
 
 
@@ -75,26 +82,89 @@ def models(u, n, phi, i=0):
     return sat(phi, i)
 
 
+def _counted(left, right, first):
+    """For each start i: the min over ends j in [i + first, |u|] of
+    max(right[j], h), or INF if there is no such j. Here h is the h-index of
+    left[i:j]: the greatest n such that at least n of those values are >= n,
+    which is also the least n such that at most n of them exceed n. For U#
+    (first = 0, inf values) an end j needs its target's budget and enough
+    budget to forgive the mistakes before j; for R# (first = 1, sup values)
+    an end j allows its target's budget or as many as are confirmed before j.
+
+    h never decreases as j grows, and it grows by at most 1 per value, so
+    it is kept with a count per value; the walk stops once the best so far
+    is at most h, which no later end can beat."""
+    m = len(left) - 1
+    row = []
+    for i in range(m + 1):
+        count = [0] * (m + 2)  # count[x]: finite values x > h seen so far
+        h = above = 0  # above: values seen so far that exceed h
+        best = INF
+        for j in range(i + first, m + 1):
+            if j > i:
+                x = left[j - 1]
+                if x > h:
+                    above += 1
+                    if x != INF:
+                        count[x] += 1
+                    if above > h:
+                        h += 1
+                        above -= count[h]
+            v = right[j]
+            if v < h:
+                v = h
+            if v < best:
+                best = v
+            if best <= h:
+                break
+        row.append(best)
+    return row
+
+
+def _value(phi, u, inf):
+    """Least (inf) or greatest (sup) budget satisfying phi at position 0 of
+    u: INF if every budget does, and INF (inf) or -1 (sup) if none does.
+    Finite values never exceed len(u). The table keeps a row of len(u) + 1
+    values for each distinct subformula."""
+    m = len(u)
+    if inf:
+        top, bot, meet, join = 0, INF, max, min
+    else:
+        top, bot, meet, join = INF, -1, min, max
+    rows = {}  # subformula -> its value at positions 0..m
+    for f in sorted(subformulas(phi), key=size):
+        kind = type(f)
+        if kind is Atom:
+            row = [top if c == f.letter else bot for c in u] + [bot]
+        elif kind is End:
+            row = [bot] * m + [top]
+        elif kind is And:
+            row = list(map(meet, rows[f.left], rows[f.right]))
+        elif kind is Or:
+            row = list(map(join, rows[f.left], rows[f.right]))
+        elif kind is Next:
+            row = rows[f.operand][1:] + [bot]
+        elif kind is Until:
+            left, right = rows[f.left], rows[f.right]
+            row = [bot] * (m + 1)
+            v = bot
+            for i in range(m, -1, -1):
+                v = row[i] = join(right[i], meet(left[i], v))
+        else:  # U# counts mistakes from j = i on, R# confirmations from j = i + 1
+            row = _counted(rows[f.left], rows[f.right], int(kind is ReleaseGeq))
+        rows[f] = row
+    return rows[phi][0]
+
+
 def sem_inf(phi, u):
     """[[phi]](u) = inf{n : (u,n) |= phi} for a pure LTL<= formula."""
     if not is_ltl(phi):
         raise ValueError("sem_inf expects a pure LTL<= formula")
-    for n in range(len(u) + 1):
-        if models(u, n, phi):
-            return n
-    return INF
+    return _value(phi, u, inf=True)
 
 
 def sem_sup(phi, u):
     """[[phi]](u) = sup{n : (u,n) |= phi} for a pure nLTL<= formula."""
     if not is_nltl(phi):
         raise ValueError("sem_sup expects a pure nLTL<= formula")
-    if models(u, len(u) + 2, phi):
-        return INF
-    best = -1
-    for n in range(len(u) + 2):
-        if models(u, n, phi):
-            best = n
-        else:
-            break
-    return max(best, 0)
+    return max(_value(phi, u, inf=False), 0)

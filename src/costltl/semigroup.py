@@ -349,7 +349,11 @@ def render_expr(e):
     if isinstance(e, ELetter):
         return e.letter
     if isinstance(e, ECat):
-        return render_expr(e.left) + render_expr(e.right)
+        left, right = render_expr(e.left), render_expr(e.right)
+        if left.endswith("^w") and right.startswith("s"):
+            # a^w then s would read back as a^ws, the omega-sharp
+            right = "(s)" + right[1:]
+        return left + right
     inner = render_expr(e.operand)
     if isinstance(e.operand, (ECat,)) or len(inner) > 1:
         inner = "(" + inner + ")"

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from costltl import INF, Alphabet, achievable_values, parse, recognize, words_upto
+from costltl import INF, Alphabet, achievable_values, models, parse, recognize, words_upto
 
 AB = Alphabet("ab")
 
@@ -225,3 +225,30 @@ def assert_matches_scan(rec, u):
     for n in range(len(w) + 3):
         assert achievable_values(rec, w, n) == scan_achievable_values(rec, w, n), (u, n)
     assert recognize(rec, u) == scan_recognize(rec, u), u
+
+
+# ---------------------------------------------------------------------------
+# Valuations by the per-budget definition, one n at a time: the oracle for
+# the bottom-up value table in costltl.semantics.
+
+
+def scan_sem_inf(phi, u):
+    """The least n in [0, |u|] with (u, n) |= phi, else INF."""
+    for n in range(len(u) + 1):
+        if models(u, n, phi):
+            return n
+    return INF
+
+
+def scan_sem_sup(phi, u):
+    """INF if (u, |u| + 2) |= phi, else the greatest n such that every
+    budget up to n satisfies phi, and 0 if none does."""
+    if models(u, len(u) + 2, phi):
+        return INF
+    best = -1
+    for n in range(len(u) + 2):
+        if models(u, n, phi):
+            best = n
+        else:
+            break
+    return max(best, 0)

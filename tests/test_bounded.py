@@ -102,6 +102,17 @@ def test_witnesses_are_sharp_expressions():
             assert instantiate(expr, 1, n) == witness_word(result.script, n), render(phi)
 
 
+def test_witness_text_reads_back_unchanged():
+    # keeping an omega apart from a following letter s leaves the
+    # omega-sharp witnesses as they were, and they render back from a parse
+    for text, witness in [("(a | X a | X F a) U# END", "bb^ws"),
+                          ("(a U# END) | (b U# END)", "a(ab)^ws"),
+                          ("(a U# END) & (b U# END)", "aa^ws")]:
+        script = bounded_onthefly(nltl_to_s(dualize(parse(text, AB), AB), AB)).script
+        assert _rendered(script) == witness, text
+        assert render_expr(parse_expr(witness + "a^w s")) == witness + "a^w(s)"
+
+
 def test_witnesses_classify_unbounded_on_counting_semigroup():
     _, counting = load_semigroup(fixture("counting.sg"))
     phi = parse("!a U# END", AB)

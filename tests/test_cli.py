@@ -29,19 +29,20 @@ def test_eval_infinite_value(capsys):
     assert out.strip() == "inf"
 
 
-def test_eval_deep_formula(capsys):
-    # parse is iterative, so X^3000 a parses and a short word evaluates; the
-    # reference semantics still recurses along the word, and running out of
-    # recursion there is a clean exit 2
+def test_eval_deep_formula(capsys, tmp_path):
+    # parse, the value table and dualize take no recursion, so X^3000 a
+    # evaluates on a word of 3,001 letters and compiles to an S-automaton
     deep = "X " * 3000 + "a"
     code, out, _ = run(capsys, "eval", "--alphabet", "ab", "-f", deep, "-w", "ab")
     assert (code, out.strip()) == (0, "inf")
     code, out, err = run(capsys, "eval", "--alphabet", "ab", "-f", deep,
                          "-w", "b" * 3000 + "a")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: maximum recursion depth exceeded")
-    assert "Traceback" not in err
+    assert (code, out.strip(), err) == (0, "0", "")
+    out_path = tmp_path / "deep.aut"
+    code, _, err = run(capsys, "compile-s", "--alphabet", "ab", "-f", deep,
+                       "-o", str(out_path))
+    assert (code, err) == (0, "")
+    assert load_automaton(str(out_path)).kind == "S"
 
 
 def test_bounded_verdicts_and_exit_codes(capsys):

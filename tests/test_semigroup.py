@@ -23,6 +23,7 @@ from costltl import (
     validate_axioms,
 )
 from costltl.actions import S_ACTIONS, S_ELEMS
+from costltl.semigroup import ECat, ELetter, EOmega, EOmegaSharp
 from conftest import all_words, assert_matches_scan, fixture
 
 
@@ -84,9 +85,19 @@ def test_achievable_values_monotone_shrinking(counting):
 
 
 def test_expr_parse_render_roundtrip(counting):
-    for text in ["a", "ab", "(ab)^#", "a^w", "a^ws", "((ab)^#a)^#", "a^w b"]:
+    for text in ["a", "ab", "(ab)^#", "a^w", "a^ws", "((ab)^#a)^#", "a^w b",
+                 "a^w s", "a^w s^w", "a^w sa", "a^ws s"]:
         e = parse_expr(text)
         assert parse_expr(render_expr(e)) == e, text
+
+
+def test_render_keeps_omega_apart_from_letter_s():
+    # an omega followed by the letter s must not read back as an omega-sharp
+    e = ECat(EOmega(ELetter("a")), ELetter("s"))
+    assert render_expr(e) == "a^w(s)"
+    assert parse_expr(render_expr(e)) == e
+    assert instantiate(parse_expr(render_expr(e)), 2, 3) == instantiate(e, 2, 3) == "aas"
+    assert render_expr(EOmegaSharp(ELetter("a"))) == "a^ws"
 
 
 def test_classify_counting(counting):
