@@ -16,10 +16,15 @@ A composed action is one semigroup element per counter. A run witnesses
 unboundedness when its action on every counter avoids cr, crw and bot: each
 counter is then either never checked or only checked after a stabilized block
 of increments, so pumping the cycles n times yields value at least n.
+
+Each call interns the composed actions it meets as small integers (`_Actions`)
+and drops the table when it returns: the product and order of two actions and
+the stabilizations and good test of one are then each a memoised lookup, not
+a walk over the counters.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from .core import INF, Alphabet, saturate
 from .actions import S_ACTIONS, vec_product, vec_leq
@@ -50,26 +55,66 @@ def compose_actions(actions):
     return tuple(vec)
 
 
-def _vec_good(sigma):
-    return all(x in GOOD for x in sigma)
+class _Memo(dict):
+    """A dict that computes a missing value as fn(key) and keeps it."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def _minimal(by_pair):
+class _Actions:
+    """The composed actions of one search, numbered 0, 1, ... as they are
+    met. ids[vec] is the number of an action, vecs[i] the action numbered i,
+    and good[i] says whether it avoids cr, crw and bot on every counter.
+    mul[i, j], sharp[i] (None when some counter's action has no sharp),
+    omega_sharp[i] and leq[i, j] are each one dict lookup once computed."""
+
+    __slots__ = ("ids", "vecs", "good", "mul", "leq", "sharp", "omega_sharp", "neutral")
+
+    def __init__(self, counters):
+        vecs, good, sharp = [], [], S_ACTIONS.sharp
+
+        def number(vec):
+            vecs.append(vec)
+            good.append(GOOD.issuperset(vec))
+            return len(vecs) - 1
+
+        # the tables close over these locals, not over self: no cycle keeps
+        # them alive once the search returns
+        self.ids = ids = _Memo(number)
+        self.vecs, self.good = vecs, good
+        self.mul = _Memo(lambda ij: ids[vec_product(vecs[ij[0]], vecs[ij[1]])])
+        self.leq = _Memo(lambda ij: vec_leq(vecs[ij[0]], vecs[ij[1]]))
+        self.sharp = _Memo(lambda i: ids[tuple(sharp[x] for x in vecs[i])]
+                           if all(x in sharp for x in vecs[i]) else None)
+        self.omega_sharp = _Memo(lambda i: ids[
+            tuple(omega_sharp(S_ACTIONS, x) for x in vecs[i])])
+        self.neutral = ids[(S_ACTIONS.neutral,) * counters]
+
+
+def _minimal(act, by_pair):
     """(src, sigma, dst) for each minimal sigma of each (src, dst) pair of
-    by_pair, which maps pairs to dicts keyed by their sigmas; a worse action
+    by_pair, which maps pairs to their distinct sigmas; a worse action
     never helps. The order is that of insertion into by_pair."""
     out = []
     for (src, dst), sigmas in by_pair.items():
         for sigma in sigmas:
             # a lone sigma, the common case, is minimal
-            if len(sigmas) == 1 or not any(other != sigma and vec_leq(other, sigma)
+            if len(sigmas) == 1 or not any(other != sigma and act.leq[other, sigma]
                                            for other in sigmas):
                 out.append((src, sigma, dst))
     return out
 
 
-def contracted_edges(aut):
-    """Letter transitions and accepting exits as (src, sigma, dst) edges.
+def contracted_edges(aut, act):
+    """Letter transitions and accepting exits as (src, sigma, dst, letter)
+    edges, sigma an id of act.
 
     Exit edges target the virtual accept sink. For each (src, dst) pair only
     the minimal sigmas are kept; each edge remembers one representative
@@ -77,12 +122,13 @@ def contracted_edges(aut):
     """
     by_pair = {}
     for src, a, actions, dst in aut.transitions:
-        by_pair.setdefault((src, dst), {}).setdefault(compose_actions(actions), a)
+        by_pair.setdefault((src, dst), {}).setdefault(act.ids[compose_actions(actions)], a)
     for q, options in aut.exits.items():
         for actions in options:
-            by_pair.setdefault((q, _ACCEPT), {}).setdefault(compose_actions(actions), None)
+            by_pair.setdefault((q, _ACCEPT), {}).setdefault(
+                act.ids[compose_actions(actions)], None)
     return [(src, sigma, dst, by_pair[(src, dst)][sigma])
-            for src, sigma, dst in _minimal(by_pair)]
+            for src, sigma, dst in _minimal(act, by_pair)]
 
 
 @dataclass(frozen=True)
@@ -102,24 +148,36 @@ def witness_word(script, n):
 def bounded_onthefly(aut):
     """Decide boundedness by a breadth-first search over memory
     configurations: stacks of (composed action, state) frames, at most
-    |counters| + 2 deep."""
+    |counters| + 2 deep, each stored flat as (sigma0, q0, sigma1, q1, ...)."""
     if aut.kind != "S":
         raise ValueError("boundedness is decided on S-automata")
     if eval_s(aut, "") == INF:
         return BoundednessResult(False, ())
-    max_frames = aut.counters + 2
+    act = _Actions(aut.counters)
+    good, start, mul, sharp = act.good, act.neutral, act.mul, act.sharp
+    max_len = 2 * (aut.counters + 2)
     out = {}
-    for src, sigma, dst, letter in contracted_edges(aut):
+    for src, sigma, dst, letter in contracted_edges(aut, act):
         out.setdefault(src, []).append((sigma, dst, letter))
-    start_sigma = (S_ACTIONS.neutral,) * aut.counters
-    sharp = S_ACTIONS.sharp
-    parent = {}
+
+    def step(top):
+        """The frames one step leads to from a top frame, in edge order, each
+        with the letter of its first edge (None for an exit)."""
+        frames = {}
+        for sigma, dst, letter in out.get(top[1], ()):
+            frames.setdefault((mul[top[0], sigma], dst), letter)
+        return frames
+
+    steps = _Memo(step)
+    # the action a closed cycle leaves on the frame below it, or None
+    closes = _Memo(lambda pair: None if sharp[pair[1]] is None
+                   else mul[pair[0], sharp[pair[1]]])
+    parent = {}  # config -> the config it was first reached from
     queue = []
-    for q in aut.initial:
-        config = ((start_sigma, q),)
-        if config not in parent:
-            parent[config] = None
-            queue.append(config)
+    for q in aut.states:
+        if q in aut.initial:
+            parent[(start, q)] = None
+            queue.append((start, q))
     head = 0
     goal = None
     while head < len(queue) and goal is None:
@@ -128,42 +186,40 @@ def bounded_onthefly(aut):
                                % MAX_ONTHEFLY_CONFIGS)
         config = queue[head]
         head += 1
-        sigma_m, q_m = config[-1]
-        succs = []
-        for sigma, dst, letter in out.get(q_m, ()):
-            succs.append((config[:-1] + ((vec_product(sigma_m, sigma), dst),),
-                          ("step", letter)))
-        if aut.counters and len(config) < max_frames and q_m is not _ACCEPT:
-            succs.append((config + ((start_sigma, q_m),), ("open",)))
-        if len(config) >= 2 and q_m == config[-2][1] and all(x in sharp for x in sigma_m):
-            merged = vec_product(config[-2][0], tuple(sharp[x] for x in sigma_m))
-            succs.append((config[:-2] + ((merged, q_m),), ("close",)))
-        for nxt, move in succs:
+        below, top = config[:-2], config[-2:]
+        sigma_m, q_m = top
+        succs = [below + frame for frame in steps[top]]
+        if aut.counters and len(config) < max_len and q_m is not _ACCEPT:
+            succs.append(config + (start, q_m))  # open a cycle
+        if len(config) >= 4 and q_m == config[-3]:
+            merged = closes[config[-4], sigma_m]
+            if merged is not None:
+                succs.append(below[:-2] + (merged, q_m))  # close it
+        for nxt in succs:
             if nxt not in parent:
-                parent[nxt] = (config, move)
-                if len(nxt) == 1 and nxt[0][1] is _ACCEPT and _vec_good(nxt[0][0]):
+                parent[nxt] = config
+                if len(nxt) == 2 and nxt[1] is _ACCEPT and good[nxt[0]]:
                     goal = nxt
                     break
                 queue.append(nxt)
     if goal is None:
         return BoundednessResult(True, None)
-    moves = []
-    node = goal
-    while parent[node] is not None:
-        prev, move = parent[node]
-        moves.append(move)
-        node = prev
-    moves.reverse()
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    # a move adds a frame (open), drops one (close) or steps the top one
     stack = [[]]
-    for move in moves:
-        if move[0] == "step":
-            if move[1] is not None:
-                stack[-1].append(ELetter(move[1]))
-        elif move[0] == "open":
+    for prev, nxt in zip(path, path[1:]):
+        if len(nxt) > len(prev):
             stack.append([])
-        else:
+        elif len(nxt) < len(prev):
             body = stack.pop()
             stack[-1].append(EOmegaSharp(reduce(ECat, body)))
+        else:
+            letter = steps[prev[-2:]][nxt[-2:]]
+            if letter is not None:
+                stack[-1].append(ELetter(letter))
     assert len(stack) == 1
     return BoundednessResult(False, tuple(stack[0]))
 
@@ -171,60 +227,64 @@ def bounded_onthefly(aut):
 # --- run-semigroup closure ---------------------------------------------------
 
 
-def _minimal_triples(triples):
-    """Antichain of minimal triples; a triple subsumes every worse one with
-    the same endpoints."""
+def _minimal_triples(act, triples):
+    """Antichain of minimal triples of a set; a triple subsumes every worse
+    one with the same endpoints."""
     by_pair = {}
     for p, sigma, q in triples:
-        by_pair.setdefault((p, q), {})[sigma] = None
-    return frozenset(_minimal(by_pair))
+        by_pair.setdefault((p, q), []).append(sigma)
+    if len(by_pair) == len(triples):  # no two triples to compare
+        return frozenset(triples)
+    return frozenset(_minimal(act, by_pair))
 
 
-def _elem_product(E, F):
+def _elem_product(act, E, F):
     by_src = {}
     for p, sigma, q in F:
         by_src.setdefault(p, []).append((sigma, q))
-    triples = set()
-    for p, sigma1, q in E:
-        for sigma2, r in by_src.get(q, ()):
-            triples.add((p, vec_product(sigma1, sigma2), r))
-    return _minimal_triples(triples)
+    mul = act.mul
+    return _minimal_triples(act, {(p, mul[sigma1, sigma2], r)
+                                  for p, sigma1, q in E
+                                  for sigma2, r in by_src.get(q, ())})
 
 
-def _elem_sharp(E):
+def _elem_sharp(act, E):
     """Stabilization of an idempotent element: runs through a pumped loop,
     each counter's loop action stabilized as (x^omega)#."""
     loops = {}
     for q, sigma, q2 in E:
         if q == q2:
-            loops.setdefault(q, []).append(tuple(omega_sharp(S_ACTIONS, x) for x in sigma))
-    triples = set()
-    for p, sigma1, q in E:
-        for se in loops.get(q, ()):
-            for q2, sigma2, r in E:
-                if q2 == q:
-                    triples.add((p, vec_product(vec_product(sigma1, se), sigma2), r))
-    return _minimal_triples(triples)
+            loops.setdefault(q, []).append(act.omega_sharp[sigma])
+    mul = act.mul
+    return _minimal_triples(act, {(p, mul[mul[sigma1, se], sigma2], r)
+                                  for p, sigma1, q in E
+                                  for se in loops.get(q, ())
+                                  for q2, sigma2, r in E if q2 == q})
 
 
-def _elem_unbounded(initial, accept, E):
+def _elem_unbounded(act, initial, accept, E):
     """Some triple of E from an initial state, followed by one of the
     composed exit actions that accept lists for its target, is good."""
-    return any(_vec_good(vec_product(sigma, x))
+    return any(act.good[act.mul[sigma, x]]
                for p, sigma, q in E if p in initial for x in accept.get(q, ()))
 
 
-def _run_effects(aut, letters=()):
+def _run_effects(aut, act, letters=()):
     """(images, accept): the run-semigroup element of each letter with a
     transition, and of each of letters (the empty element if it has none),
     and the composed exit actions of each state."""
     triples = {a: set() for a in letters}
     for src, a, actions, dst in aut.transitions:
-        triples.setdefault(a, set()).add((src, compose_actions(actions), dst))
-    images = {a: _minimal_triples(t) for a, t in triples.items()}
-    accept = {q: [compose_actions(actions) for actions in options]
+        triples.setdefault(a, set()).add((src, act.ids[compose_actions(actions)], dst))
+    images = {a: _minimal_triples(act, t) for a, t in triples.items()}
+    accept = {q: [act.ids[compose_actions(actions)] for actions in options]
               for q, options in aut.exits.items()}
     return images, accept
+
+
+def _closure(act, images):
+    """The run-semigroup elements generated by images, in discovery order."""
+    return saturate(images.values(), partial(_elem_product, act), partial(_elem_sharp, act))
 
 
 def run_semigroup_closure(aut):
@@ -235,16 +295,21 @@ def run_semigroup_closure(aut):
         raise ValueError("boundedness is decided on S-automata")
     if eval_s(aut, "") == INF:
         return frozenset(), True
-    images, accept = _run_effects(aut)
+    act = _Actions(aut.counters)
+    images, accept = _run_effects(aut, act)
     found = []
-    for E in saturate(images.values(), _elem_product, _elem_sharp):
+    unbounded = False
+    for E in _closure(act, images):
         found.append(E)
-        if _elem_unbounded(aut.initial, accept, E):
-            return frozenset(found), True
+        if _elem_unbounded(act, aut.initial, accept, E):
+            unbounded = True
+            break
         if len(found) > MAX_CLOSURE_ELEMENTS:
             raise RuntimeError("run-semigroup closure exceeded %d elements"
                                % MAX_CLOSURE_ELEMENTS)
-    return frozenset(found), False
+    vecs = act.vecs
+    return frozenset(frozenset((p, vecs[sigma], q) for p, sigma, q in E)
+                     for E in found), unbounded
 
 
 def language_recognizer(aut):
@@ -256,17 +321,18 @@ def language_recognizer(aut):
     if aut.counters != 0:
         raise ValueError("a language recognizer needs a counter-free "
                          "(classical) automaton")
-    images, accept = _run_effects(aut, aut.alphabet)
-    elems = list(saturate(images.values(), _elem_product, _elem_sharp))
+    act = _Actions(0)
+    images, accept = _run_effects(aut, act, aut.alphabet)
+    elems = list(_closure(act, images))
     name = {E: "t%d" % i for i, E in enumerate(elems)}
-    product = {(name[E], name[F]): name[_elem_product(E, F)]
+    product = {(name[E], name[F]): name[_elem_product(act, E, F)]
                for E in elems for F in elems}
     sharp = {x: x for x in name.values() if product[(x, x)] == x}
     sg = StabSemigroup(tuple(name.values()), product,
                        frozenset((x, x) for x in name.values()), sharp)
     # with no counters, _elem_unbounded asks whether some run accepts
     ideal = frozenset(name[E] for E in elems
-                      if _elem_unbounded(aut.initial, accept, E) == (aut.kind == "S"))
+                      if _elem_unbounded(act, aut.initial, accept, E) == (aut.kind == "S"))
     return Recognizer(sg, {a: name[E] for a, E in images.items()}, ideal)
 
 

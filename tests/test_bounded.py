@@ -1,6 +1,8 @@
 """Boundedness of S-automata: the on-the-fly memory-machine search and the
 run-semigroup closure, plus witness pumping."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,13 +22,15 @@ from costltl import (
     nltl_to_s,
     parse,
     parse_expr,
+    rename_states,
     render,
     render_expr,
     witness_word,
 )
 from costltl.automata import S_TOKENS
-from costltl.bounded import BoundednessResult, compose_actions
+from costltl.bounded import BoundednessResult, compose_actions, run_semigroup_closure
 from conftest import AB, EXIT_ON_EMPTY_WORD, corpus, fixture
+from test_translate import _criterion9_distinct
 
 
 def test_fixture_s_automata_unbounded():
@@ -214,12 +218,14 @@ def test_empty_word_checked_by_its_exit_is_bounded():
 
 
 @st.composite
-def _one_counter_s_automata(draw):
-    """S-automata over {a, b} with 1-3 states, one counter, sequences of
-    every S token, and 1-2 exit options on each final state."""
-    states = tuple("q%d" % i for i in range(draw(st.integers(1, 3))))
+def _s_automata(draw, counters, max_states=3, max_transitions=6, max_tokens=3):
+    """S-automata over {a, b} with 1 to max_states states, the given number
+    of counters, sequences of every S token, and 1-2 exit options on each
+    final state."""
+    states = tuple("q%d" % i for i in range(draw(st.integers(1, max_states))))
     state = st.sampled_from(states)
-    actions = st.tuples(st.lists(st.sampled_from(S_TOKENS), max_size=3).map(tuple))
+    sequence = st.lists(st.sampled_from(S_TOKENS), max_size=max_tokens).map(tuple)
+    actions = st.tuples(*[sequence] * counters)
     final = draw(st.frozensets(state, min_size=1))
     return CostAutomaton(
         kind="S",
@@ -227,16 +233,14 @@ def _one_counter_s_automata(draw):
         states=states,
         initial=draw(st.frozensets(state, min_size=1)),
         final=final,
-        counters=1,
+        counters=counters,
         transitions=tuple(draw(st.lists(st.tuples(state, st.sampled_from("ab"), actions, state),
-                                        min_size=1, max_size=6))),
+                                        min_size=1, max_size=max_transitions))),
         exits={q: tuple(draw(st.lists(actions, min_size=1, max_size=2))) for q in sorted(final)},
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_one_counter_s_automata())
-def test_random_automata_closure_agrees_and_witnesses_pump(aut):
+def _assert_closure_agrees_and_witness_pumps(aut):
     # the uncapped closure's verdict against the on-the-fly search, whose
     # unbounded verdicts are certified by pumping their witnesses
     result = bounded_onthefly(aut)
@@ -244,6 +248,71 @@ def test_random_automata_closure_agrees_and_witnesses_pump(aut):
     if not result.bounded:
         for n in (1, 2, 3):
             assert eval_s(aut, witness_word(result.script, n)) >= n, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_s_automata(1))
+def test_random_automata_closure_agrees_and_witnesses_pump(aut):
+    _assert_closure_agrees_and_witness_pumps(aut)
+
+
+# At 3 counters and 3 states some draws exhaust the on-the-fly budget, so the
+# widest random case stays at 2 counters and small automata.
+@settings(max_examples=200, deadline=None)
+@given(_s_automata(2, max_states=2, max_transitions=5, max_tokens=2))
+def test_random_two_counter_automata_closure_agrees_and_witnesses_pump(aut):
+    _assert_closure_agrees_and_witness_pumps(aut)
+
+
+def _two_loop_automaton(declared):
+    # both states initial and final, each pumping its own letter; only the
+    # order in which the states are declared tells the two witnesses apart
+    return loads_automaton(
+        "costltl-format 1\nautomaton\nkind S\nalphabet ab\nstates %s\n"
+        "initial p q\nfinal p q\ncounters 1\ntrans p a p : i\ntrans q b q : i\n"
+        "exit p : cr\nexit q : cr\n" % declared)
+
+
+def test_witness_follows_declared_state_order():
+    # the search starts from the initial states in declaration order, not in
+    # the hash order of the initial-state set
+    for declared, witness in (("p q", "a^ws"), ("q p", "b^ws")):
+        assert _rendered(bounded_onthefly(_two_loop_automaton(declared)).script) == witness
+
+
+def _boundedness_digest(formulas):
+    digest = hashlib.sha256()
+    for phi in formulas:
+        aut = rename_states(nltl_to_s(dualize(phi, AB), AB))
+        try:
+            result = bounded_onthefly(aut)
+            fly = "bounded" if result.bounded else _rendered(result.script)
+        except RuntimeError as e:
+            fly = str(e)
+        try:
+            elements, unbounded = run_semigroup_closure(aut)
+            closure = "%s %r" % (unbounded, sorted(sorted(E) for E in elements))
+        except RuntimeError as e:
+            closure = str(e)
+        digest.update(("%s\n%s\n" % (fly, closure)).encode())
+    return digest.hexdigest()
+
+
+# sha256 of each on-the-fly verdict and witness (or budget error) and each
+# closure verdict with its sorted element triples, on rename_states of
+# nltl_to_s(dualize(phi)), recorded before composed actions were interned:
+# a faster search must reach the same answers. Two criterion 9 formulae
+# exhaust the on-the-fly budget.
+@pytest.mark.parametrize("formulas, expected", [
+    pytest.param(corpus,
+                 "69cf16929ddbd11f36cae7c86954f5aead5d3db49a658cf479200c7fb35d6124",
+                 id="corpus"),
+    pytest.param(lambda: _criterion9_distinct(60),
+                 "3ccbd40cec2f3732bcd5706f2be078e829fdad41ae2ad1c02a80817c9c4a0480",
+                 id="criterion9"),
+])
+def test_boundedness_outputs_are_pinned(formulas, expected):
+    assert _boundedness_digest(formulas()) == expected
 
 
 def test_mixed_fragment_rejected():
