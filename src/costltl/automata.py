@@ -10,6 +10,7 @@ from zero counters, unless `epsilon_value` is set (translated automata).
 
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 from .core import FORMAT_HEADER, INF, Alphabet, read_fields
 from .actions import contract_max
@@ -31,6 +32,12 @@ class CostAutomaton:
     # state -> tuple of exit options, each an actions tuple as above
     exits: dict = None
     epsilon_value: object = None
+
+    @cached_property
+    def _compiled(self):
+        # built on the first evaluation and kept; not a field, so ==,
+        # replace and the file format ignore it
+        return _compile(self)
 
     def __post_init__(self):
         if self.exits is None:
@@ -88,50 +95,115 @@ def eval_s(aut, u):
     return _eval(aut, u)
 
 
-# A run carries its counters and its value so far: the greatest checked value
-# for B, which starts at 0, and the least for S, which starts at INF. Its final
-# value only grows (B) or shrinks (S) with both, so a configuration that is at
-# least as good as another in every component makes the other redundant.
+# A run's configuration is one flat tuple (value, c1, ..., ck): its value so
+# far, the greatest checked value for B, which starts at 0, and the least for
+# S, which starts at INF, then its counters. Its final value only grows (B) or
+# shrinks (S) with every component, so a configuration that is at least as
+# good as another in every component makes the other redundant.
 _START = {"B": 0, "S": INF}
 _AT_LEAST_AS_GOOD = {"B": operator.le, "S": operator.ge}
 
 
+def _start(kind, counters):
+    return (_START[kind],) + (0,) * counters
+
+
+# Action tuples recur across transitions and automata: the 600 automata of
+# the duality workload hold 223 distinct ones.
+@lru_cache(maxsize=4096)
+def _program(actions):
+    """The step program of an action tuple: its (slot, token) pairs in
+    order, slot γ+1 for counter γ (slot 0 is the run value), e dropped."""
+    return tuple((gamma + 1, a) for gamma, seq in enumerate(actions)
+                 for a in seq if a != "e")
+
+
+def _step(config, program):
+    """The configuration after a step program. ic raises a B value to the
+    count it checks and cr lowers an S value to the count it checks. i stops
+    at the S value: a check at or above it cannot lower the value, so the cap
+    loses nothing."""
+    c = list(config)
+    for slot, a in program:
+        if a == "ic":
+            n = c[slot] = c[slot] + 1
+            if n > c[0]:
+                c[0] = n
+        elif a == "i":
+            n = c[slot] + 1
+            c[slot] = n if n < c[0] else c[0]
+        elif a == "r":
+            c[slot] = 0
+        else:  # cr
+            if c[slot] < c[0]:
+                c[0] = c[slot]
+            c[slot] = 0
+    return tuple(c)
+
+
+def _compile(aut):
+    """The index _eval reads: step[q, letter] maps each distinct step program
+    of the transitions of q on that letter to their destinations, and
+    exits[q] lists the exit programs of q."""
+    step = {}
+    for src, a, actions, dst in aut.transitions:
+        step.setdefault((src, a), {}).setdefault(_program(actions), []).append(dst)
+    exits = {q: list(map(_program, options)) for q, options in aut.exits.items()}
+    return step, exits
+
+
+_NO_STEPS = {}
+
+
 def _eval(aut, u):
-    """One pass over u keeping, per state, the Pareto-best (counters, value)
-    pairs of the runs that reach it, then the fold of the exits; on the empty
-    word the exits of the initial states apply to zero counters, unless
+    """One pass over u keeping, per state, the Pareto-best configurations of
+    the runs that reach it, then the fold of the exits; on the empty word the
+    exits of the initial states apply to the start configuration, unless
     epsilon_value is set."""
     aut.alphabet.check_word(u)
     if not u and aut.epsilon_value is not None:
         return aut.epsilon_value
-    out = {}  # (state, letter) -> transitions
-    for t in aut.transitions:
-        out.setdefault((t[0], t[1]), []).append(t)
-    good = _AT_LEAST_AS_GOOD[aut.kind]
-    layer = {q: [((0,) * aut.counters, _START[aut.kind])] for q in aut.initial}
+    step, exits = aut._compiled
+    layer = {q: [_start(aut.kind, aut.counters)] for q in aut.initial}
     for a in u:
         nxt = {}
         for q, front in layer.items():
-            for _, _, actions, dst in out.get((q, a), ()):
-                target = nxt.setdefault(dst, [])
-                for cs, v in front:
-                    _add_pareto(target, _apply(cs, actions, v), good)
-        layer = nxt
-    return _best(aut.kind, [_apply(cs, actions, v)[1]
-                            for q, front in layer.items() for cs, v in front
-                            for actions in aut.exits.get(q, ())])
+            for program, dsts in step.get((q, a), _NO_STEPS).items():
+                succ = [_step(c, program) for c in front] if program else front
+                for dst in dsts:
+                    target = nxt.get(dst)
+                    if target is None:
+                        nxt[dst] = set(succ)
+                    else:
+                        target.update(succ)
+        layer = {q: _antichain(configs, aut.kind) for q, configs in nxt.items()}
+    return _best(aut.kind, [_step(c, program)[0] for q, front in layer.items()
+                            for program in exits.get(q, ()) for c in front])
 
 
-def _add_pareto(front, config, good):
-    """Add config to front, an antichain of (counters, value) pairs, unless a
-    member is at least as good; drop the members config is at least as good as."""
-    cs, v = config
-    for cs2, v2 in front:
-        if good(v2, v) and all(map(good, cs2, cs)):
-            return
-    front[:] = [(cs2, v2) for cs2, v2 in front
-                if not (good(v, v2) and all(map(good, cs, cs2)))]
-    front.append(config)
+def _antichain(configs, kind):
+    """The configurations no other one is at least as good as, in one sorted
+    pass: in ascending order for B (descending for S) a configuration that is
+    at least as good as another sorts before it, so each is checked only
+    against those already kept, the latest first. One whose last component
+    beats that of every kept configuration is kept without a check."""
+    if len(configs) == 1:
+        return list(configs)
+    good = _AT_LEAST_AS_GOOD[kind]
+    kept = []
+    last = None  # the best last component of a kept configuration
+    for c in sorted(configs, reverse=kind == "S"):
+        if last is None or not good(last, c[-1]):
+            last = c[-1]
+        else:
+            for k in reversed(kept):
+                if all(map(good, k, c)):
+                    break
+            else:
+                kept.append(c)
+            continue
+        kept.append(c)
+    return kept
 
 
 def _best(kind, values):
@@ -144,29 +216,8 @@ def _runs_value(kind, counters, runs):
     """Value of the best of runs, each an action tuple taken from zero
     counters: the least over runs of the greatest checked value for B, the
     greatest over runs of the least checked value for S."""
-    zero = (0,) * counters
-    return _best(kind, [_apply(zero, actions, _START[kind])[1] for actions in runs])
-
-
-def _apply(counters, actions, value):
-    """Counters and run value after one action sequence per counter. ic
-    raises a B value to the count it checks and cr lowers an S value to the
-    count it checks. i stops at the S value: a check at or above it cannot
-    lower the value, so the cap loses nothing."""
-    cs = list(counters)
-    for gamma, seq in enumerate(actions):
-        for a in seq:
-            if a == "ic":
-                cs[gamma] += 1
-                value = max(value, cs[gamma])
-            elif a == "i":
-                cs[gamma] = min(cs[gamma] + 1, value)
-            elif a == "r":
-                cs[gamma] = 0
-            elif a == "cr":
-                value = min(value, cs[gamma])
-                cs[gamma] = 0
-    return tuple(cs), value
+    start = _start(kind, counters)
+    return _best(kind, [_step(start, _program(actions))[0] for actions in runs])
 
 
 def eval_s_at_least(aut, u, n):

@@ -381,9 +381,36 @@ def dualize(node, alphabet):
 
 
 def sort_key(node):
+    """Key of the (size, render) order of nodes, a total order because
+    render is injective on interned nodes. The key is cached on the node: a
+    pair (size, tie) whose tie renders the node, once, only when two sizes
+    are equal, so a deep formula is not rendered at every level."""
     try:
         return node._sort_key
     except AttributeError:
-        key = (size(node), render(node))
+        key = (node._size, _Rendering(node))
         object.__setattr__(node, "_sort_key", key)
         return key
+
+
+class _Rendering:
+    """The render of a node, computed on the first comparison. It is equal
+    only to itself, and a node has one key. It refers to its node weakly, as
+    the node holds it, and is compared only while the node lives."""
+
+    __slots__ = ("node", "text")
+
+    def __init__(self, node):
+        self.node = weakref.ref(node)
+        self.text = None
+
+    def _text(self):
+        if self.text is None:
+            self.text = render(self.node())
+        return self.text
+
+    def __lt__(self, other):
+        return self._text() < other._text()
+
+    def __gt__(self, other):
+        return self._text() > other._text()

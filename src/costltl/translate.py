@@ -37,15 +37,14 @@ class _Translation:
         self._endpoint_memo = {}
 
     def spawn_resets(self, added):
-        """Reset events for counting obligations that surface right now.
+        """Reset events for counting obligations that surface right now
+        (S polarity only).
 
         When the same R# formula is tracked from two start positions the set
         representation merges them; the later start has the stronger
         requirement (fewer counted positions), so a freshly surfaced
         obligation resets its counter.
         """
-        if self.polarity != "S":
-            return ()
         return tuple((self.index[m], "r") for m in added
                      if isinstance(m, ReleaseGeq))
 
@@ -58,10 +57,12 @@ class _Translation:
         candidates = [f for f in Y if not f.reduced]
         psi = max(candidates, key=sort_key)
         rest = Y - {psi}
+        spawn = self.polarity == "S"
 
         def branch(added, *events):
-            return (rest | set(added),
-                    tuple(events) + self.spawn_resets(added))
+            if spawn:
+                events += self.spawn_resets(added)
+            return rest | added, events
 
         if isinstance(psi, And):
             return [branch({psi.left, psi.right})]
@@ -84,29 +85,48 @@ class _Translation:
             return [
                 branch({psi.left, psi.right, Next(psi)}, (j, "i")),
                 branch({psi.right, Next(psi)}),
-                branch((), (j, "cr")),
+                branch(set(), (j, "cr")),
             ]
         raise TypeError("unexpected member %r" % (psi,))
 
+    def _closure_leaf(self, Y):
+        # an endpoint with no letter step starts no transition; dropping it
+        # here keeps it out of every closure above
+        return {(Y, ())} if self.endpoint(Y) is not None else set()
+
     def closure(self, Y):
         """All reduced endpoints reachable by epsilon reductions from Y that
-        have a letter step (see endpoint), with composed events."""
-        if Y in self._closure_memo:
-            return self._closure_memo[Y]
-        if all(f.reduced for f in Y):
-            # an endpoint with no letter step starts no transition; dropping
-            # it here keeps it out of every closure above
-            result = {(Y, ())} if self.endpoint(Y) is not None else set()
-        else:
-            result = set()
-            for Z, events in self.reduction_branches(Y):
-                if events:
-                    result.update((W, events + ev) for W, ev in self.closure(Z))
-                else:
-                    # most branches carry no event: share Z's pairs as they are
-                    result.update(self.closure(Z))
-        self._closure_memo[Y] = result
-        return result
+        have a letter step (see endpoint), with composed events. Reduction
+        steps form an acyclic graph, walked children first on an explicit
+        stack so that a long chain of steps needs no deep call stack; a
+        reduced pseudo-state is valued where it is met."""
+        memo = self._closure_memo
+        if Y not in memo:
+            if all(f.reduced for f in Y):
+                memo[Y] = self._closure_leaf(Y)
+            else:
+                stack = [(Y, self.reduction_branches(Y))]
+                while stack:
+                    X, branches = stack[-1]
+                    for Z, _ in branches:
+                        if Z not in memo:
+                            if all(f.reduced for f in Z):
+                                memo[Z] = self._closure_leaf(Z)
+                            else:
+                                stack.append((Z, self.reduction_branches(Z)))
+                                break
+                    else:
+                        stack.pop()
+                        result = set()
+                        for Z, events in branches:
+                            if events:
+                                result.update((W, events + ev) for W, ev in memo[Z])
+                            else:
+                                # most branches carry no event: share Z's
+                                # pairs as they are
+                                result.update(memo[Z])
+                        memo[X] = result
+        return memo[Y]
 
     def end_branches(self, Y, fresh):
         """One resolution step of the maximal unresolved member at the end of
@@ -147,20 +167,29 @@ class _Translation:
 
     def end_closure(self, Y, fresh=frozenset()):
         """Event sequences discharging every pending obligation at the end of
-        the word; empty set when Y is not satisfiable there."""
-        key = (Y, fresh)
-        if key in self._end_memo:
-            return self._end_memo[key]
-        if all(f is END for f in Y):
-            result = frozenset({()})
-        else:
-            finals = set()
-            for Z, new_fresh, events in self.end_branches(Y, fresh):
-                finals.update(events + ev
-                              for ev in self.end_closure(Z, new_fresh))
-            result = frozenset(finals)
-        self._end_memo[key] = result
-        return result
+        the word; empty set when Y is not satisfiable there. Walks the
+        resolution steps children first on an explicit stack, as closure
+        does."""
+        memo = self._end_memo
+        if (Y, fresh) not in memo:
+            if all(f is END for f in Y):
+                memo[Y, fresh] = frozenset({()})
+            else:
+                stack = [((Y, fresh), self.end_branches(Y, fresh))]
+                while stack:
+                    key, branches = stack[-1]
+                    for Z, z_fresh, _ in branches:
+                        if (Z, z_fresh) not in memo:
+                            if all(f is END for f in Z):
+                                memo[Z, z_fresh] = frozenset({()})
+                            else:
+                                stack.append(((Z, z_fresh), self.end_branches(Z, z_fresh)))
+                                break
+                    else:
+                        stack.pop()
+                        memo[key] = frozenset(events + ev for Z, z_fresh, events in branches
+                                              for ev in memo[Z, z_fresh])
+        return memo[Y, fresh]
 
     def events_to_actions(self, events):
         seqs = [[] for _ in range(self.k)]

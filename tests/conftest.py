@@ -145,6 +145,38 @@ def enum_eval(aut, u):
     return best
 
 
+def _config_step(kind, actions, value, counters):
+    """(value, counters) after one action tuple, with the plain counter
+    semantics of _seq_run: no cap on i."""
+    checked = []
+    counters = tuple(_seq_run(seq, kind, c, checked) for seq, c in zip(actions, counters))
+    for v in checked:
+        value = max(value, v) if kind == "B" else min(value, v)
+    return value, counters
+
+
+def all_configs_eval(aut, u):
+    """inf (B) / sup (S) over all accepting runs, by a breadth-first pass
+    that keeps every distinct (state, value, counters) configuration and
+    prunes none: polynomial in the word length, so it reaches words too
+    long for enum_eval."""
+    if not u and aut.epsilon_value is not None:
+        return aut.epsilon_value
+    by_src = {}
+    for src, letter, actions, dst in aut.transitions:
+        by_src.setdefault((src, letter), []).append((actions, dst))
+    start = 0 if aut.kind == "B" else INF
+    layer = {(q, start, (0,) * aut.counters) for q in aut.initial}
+    for a in u:
+        layer = {(dst,) + _config_step(aut.kind, actions, value, counters)
+                 for q, value, counters in layer
+                 for actions, dst in by_src.get((q, a), ())}
+    values = [_config_step(aut.kind, actions, value, counters)[0]
+              for q, value, counters in layer if q in aut.final
+              for actions in aut.exits.get(q, ())]
+    return min(values, default=INF) if aut.kind == "B" else max(values, default=0)
+
+
 # ---------------------------------------------------------------------------
 # Classical-language helpers (membership oracles for counter-free formulae).
 

@@ -2,6 +2,8 @@
 enumeration), contraction, trimming, and the file format."""
 
 import dataclasses
+import functools
+import hashlib
 import random
 
 import pytest
@@ -30,7 +32,16 @@ from costltl import (
     validate,
 )
 from costltl.automata import B_TOKENS, S_TOKENS
-from conftest import AB, EXIT_ON_EMPTY_WORD, all_words, enum_eval, fixture, min_block
+from conftest import (
+    AB,
+    EXIT_ON_EMPTY_WORD,
+    all_configs_eval,
+    all_words,
+    corpus,
+    enum_eval,
+    fixture,
+    min_block,
+)
 
 FIXTURE_AUTOMATA = [
     "count-letter-b.aut",
@@ -109,6 +120,50 @@ def test_random_automata_match_run_enumeration(aut):
     ev = eval_b if aut.kind == "B" else eval_s
     for u in all_words(5):
         assert ev(aut, u) == enum_eval(aut, u), u
+
+
+def _evaluate(aut, u):
+    return (eval_b if aut.kind == "B" else eval_s)(aut, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_automata(), st.lists(st.text("ab", max_size=10), min_size=1, max_size=8))
+def test_random_automata_match_all_configurations(aut, words):
+    for u in words:
+        assert _evaluate(aut, u) == all_configs_eval(aut, u), u
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_automata():
+    """B automaton of every corpus formula and S automaton of its dual."""
+    out = []
+    for phi in corpus():
+        out += [ltl_to_b(phi, AB), nltl_to_s(dualize(phi, AB), AB)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corpus_automata_match_all_configurations(data):
+    aut = data.draw(st.sampled_from(_corpus_automata()))
+    for u in data.draw(st.lists(st.text("ab", max_size=16), min_size=1, max_size=4)):
+        assert _evaluate(aut, u) == all_configs_eval(aut, u), u
+
+
+def test_long_word_values_are_pinned():
+    # sha256 of eval_b/eval_s of every corpus formula's B automaton and its
+    # dual's S automaton on words of the long-words lengths, recorded before
+    # the evaluator was compiled to step programs: a faster evaluator must
+    # give the same values
+    automata = _corpus_automata()
+    rows = []
+    for b_aut, s_aut in zip(automata[::2], automata[1::2]):
+        for length in (40, 46, 52, 58):
+            rng = random.Random(length)
+            u = "".join(rng.choice("ab") for _ in range(length))
+            rows.append((eval_b(b_aut, u), eval_s(s_aut, u)))
+    assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+            == "6ed712d8cb1b9ac2d399eeacf36915f79738ce81a8d67d60e92bdfe3b1da8abb")
 
 
 @pytest.mark.parametrize("text", [

@@ -45,6 +45,22 @@ def test_eval_deep_formula(capsys, tmp_path):
     assert load_automaton(str(out_path)).kind == "S"
 
 
+def test_compile_long_disjunction(capsys, tmp_path):
+    # the epsilon closures take no recursion: 1,500 disjuncts reduce one
+    # after another
+    formula = " | ".join(["a"] * 1499 + ["b"])
+    out_path = str(tmp_path / "disjunction.aut")
+    code, _, err = run(capsys, "compile-b", "--alphabet", "ab", "-f", formula,
+                       "-o", out_path)
+    assert (code, err) == (0, "")
+    for word in ("", "a", "b", "ba", "bb"):
+        code, by_formula, _ = run(capsys, "eval", "--alphabet", "ab", "-f", formula,
+                                  "-w", word)
+        assert code == 0
+        code, by_automaton, _ = run(capsys, "eval-aut", "-a", out_path, "-w", word)
+        assert (code, by_automaton) == (0, by_formula), word
+
+
 def test_bounded_verdicts_and_exit_codes(capsys):
     code, out, _ = run(capsys, "bounded", "--alphabet", "ab",
                        "-f", "(b | X a | X F a) U# END", "--method", "both")
