@@ -196,9 +196,12 @@ def bounded_onthefly(aut):
             if merged is not None:
                 succs.append(below[:-2] + (merged, q_m))  # close it
         for nxt in succs:
-            if nxt not in parent:
+            # the bottom action only ever gets multiplied on the right, and
+            # the actions that are not good form a right ideal: once bad, a
+            # configuration cannot reach the goal
+            if good[nxt[0]] and nxt not in parent:
                 parent[nxt] = config
-                if len(nxt) == 2 and nxt[1] is _ACCEPT and good[nxt[0]]:
+                if len(nxt) == 2 and nxt[1] is _ACCEPT:
                     goal = nxt
                     break
                 queue.append(nxt)

@@ -329,16 +329,6 @@ def subformulas(node):
     return list(seen)
 
 
-def counter_indices(node, kind):
-    """Map each distinct `kind` subformula (UntilLeq or ReleaseGeq) to its
-    1-based counter index in left-to-right order."""
-    out = {}
-    for s in subformulas(node):
-        if isinstance(s, kind):
-            out[s] = len(out) + 1
-    return out
-
-
 def is_ltl(node):
     return not any(isinstance(s, ReleaseGeq) for s in subformulas(node))
 

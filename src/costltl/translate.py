@@ -5,104 +5,117 @@ rewrite the largest non-reduced member until only atoms and Next formulae
 remain; reading a letter then strips one Next from every member. The epsilon
 steps carry the counter actions; they are composed into the letter transitions
 and into per-state accepting exits.
+
+Each translation numbers its universe, the subformulae of its input and
+Next(psi) for each until-like subformula psi, once in sort_key order. A
+pseudo-state is an int with bit i for the i-th node, so its largest member is
+its highest set bit; only reachable states become sets of formulae.
 """
 
 from .core import Alphabet
-from .formula import (
-    END,
-    And,
-    Or,
-    Next,
-    Until,
-    UntilLeq,
-    ReleaseGeq,
-    counter_indices,
-    is_ltl,
-    is_nltl,
-    sort_key,
-)
+from .formula import (END, And, Atom, Or, Next, Until, UntilLeq, ReleaseGeq, sort_key,
+                      subformulas)
 from .automata import CostAutomaton, _runs_value
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _rules(psi, bit, index):
+    """(letter-step options, end-of-word options) of a non-reduced node, each
+    option a pair (added members as a mask, events) with events a tuple of
+    (counter, token) pairs. The end options of R# are those of an obligation
+    that did not start at the end of the word."""
+    left, right, kind = bit[psi.left], bit[psi.right], type(psi)
+    if kind is And:
+        return [(left | right, ())], [(left | right, ())]
+    if kind is Or:
+        return [(left, ()), (right, ())], [(left, ()), (right, ())]
+    nxt = bit[Next(psi)]
+    if kind is Until:
+        return [(left | nxt, ()), (right, ())], [(right, ())]
+    j = index[psi]
+    if kind is UntilLeq:
+        return ([(left | nxt, ()), (nxt, ((j, "ic"),)), (right, ((j, "r"),))],
+                [(right, ((j, "r"),))])
+    # at the end an R# obligation is discharged by its target holding there,
+    # or by checking that enough occurrences of its left operand were counted
+    return ([(left | right | nxt, ((j, "i"),)), (right | nxt, ()), (0, ((j, "cr"),))],
+            [(right, ()), (0, ((j, "cr"),))])
+
+
 class _Translation:
-    def __init__(self, phi, alphabet, polarity):
-        self.phi = phi
+    def __init__(self, phi, subs, alphabet, polarity):
+        """subs is subformulas(phi)."""
         self.alphabet = alphabet
         self.polarity = polarity
         kind = UntilLeq if polarity == "B" else ReleaseGeq
-        self.index = counter_indices(phi, kind)
-        self.k = len(self.index)
-        self._closure_memo = {}
-        self._end_memo = {}
-        self._endpoint_memo = {}
+        index = {s: j for j, s in enumerate([s for s in subs if type(s) is kind], 1)}
+        self.k = len(index)
+        universe = set(subs)
+        universe.update(Next(s) for s in subs if type(s) in (Until, UntilLeq, ReleaseGeq))
+        self.nodes = nodes = sorted(universe, key=sort_key)
+        bit = {f: 1 << i for i, f in enumerate(nodes)}
 
-    def spawn_resets(self, added):
-        """Reset events for counting obligations that surface right now
-        (S polarity only).
+        def mask(members):
+            out = 0
+            for m in members:
+                out |= bit[m]
+            return out
 
-        When the same R# formula is tracked from two start positions the set
-        representation merges them; the later start has the stronger
-        requirement (fewer counted positions), so a freshly surfaced
-        obligation resets its counter.
-        """
-        return tuple((self.index[m], "r") for m in added
-                     if isinstance(m, ReleaseGeq))
+        self.start = bit[phi]
+        self.nonreduced = mask(f for f in nodes if not f.reduced)
+        self.release = mask(f for f in nodes if type(f) is ReleaseGeq)
+        self.not_end = (1 << len(nodes)) - 1 - bit.get(END, 0)
+        self.next_mask = mask(f for f in nodes if type(f) is Next)
+        self.atomic = mask(f for f in nodes if f.atomic)
+        # a state reads a letter when it holds no other letter test
+        self.forbidden = [(a, mask(f for f in nodes if f.atomic and f is not Atom(a)))
+                          for a in alphabet]
+        self.operand = [bit[f.operand] if type(f) is Next else 0 for f in nodes]
+        self.step_rules, self.end_rules = [None] * len(nodes), [None] * len(nodes)
+        for i, f in enumerate(nodes):
+            if not f.reduced:
+                step, self.end_rules[i] = _rules(f, bit, index)
+                if self.release:
+                    # When the same R# formula is tracked from two start positions
+                    # the set representation merges them; the later start has the
+                    # stronger requirement (fewer counted positions), so a freshly
+                    # surfaced obligation resets its counter.
+                    step = [(added, events + tuple((index[nodes[m]], "r")
+                                                   for m in _bits(added & self.release)))
+                            for added, events in step]
+                self.step_rules[i] = step
+        self._closure_memo, self._end_memo, self._actions_memo = {}, {}, {}
 
     def reduction_branches(self, Y):
-        """One reduction step applied to the maximal non-reduced member.
-
-        Yields (new pseudo-state, events) with events a tuple of
-        (counter, token) pairs.
-        """
-        candidates = [f for f in Y if not f.reduced]
-        psi = max(candidates, key=sort_key)
-        rest = Y - {psi}
-        spawn = self.polarity == "S"
-
-        def branch(added, *events):
-            if spawn:
-                events += self.spawn_resets(added)
-            return rest | added, events
-
-        if isinstance(psi, And):
-            return [branch({psi.left, psi.right})]
-        if isinstance(psi, Or):
-            return [branch({psi.left}), branch({psi.right})]
-        if isinstance(psi, Until):
-            return [
-                branch({psi.left, Next(psi)}),
-                branch({psi.right}),
-            ]
-        if isinstance(psi, UntilLeq):
-            j = self.index[psi]
-            return [
-                branch({psi.left, Next(psi)}),
-                branch({Next(psi)}, (j, "ic")),
-                branch({psi.right}, (j, "r")),
-            ]
-        if isinstance(psi, ReleaseGeq):
-            j = self.index[psi]
-            return [
-                branch({psi.left, psi.right, Next(psi)}, (j, "i")),
-                branch({psi.right, Next(psi)}),
-                branch(set(), (j, "cr")),
-            ]
-        raise TypeError("unexpected member %r" % (psi,))
+        """One reduction step applied to the maximal non-reduced member:
+        (new pseudo-state, events) pairs."""
+        i = (Y & self.nonreduced).bit_length() - 1
+        rest = Y ^ (1 << i)
+        return [(rest | added, events) for added, events in self.step_rules[i]]
 
     def _closure_leaf(self, Y):
         # an endpoint with no letter step starts no transition; dropping it
         # here keeps it out of every closure above
-        return {(Y, ())} if self.endpoint(Y) is not None else set()
+        step = self.endpoint(Y)
+        return {(step, ())} if step is not None else set()
 
     def closure(self, Y):
-        """All reduced endpoints reachable by epsilon reductions from Y that
-        have a letter step (see endpoint), with composed events. Reduction
+        """The letter steps (see endpoint) of all reduced endpoints reachable
+        by epsilon reductions from Y, with composed events. Reduction
         steps form an acyclic graph, walked children first on an explicit
         stack so that a long chain of steps needs no deep call stack; a
         reduced pseudo-state is valued where it is met."""
         memo = self._closure_memo
+        nonreduced = self.nonreduced
         if Y not in memo:
-            if all(f.reduced for f in Y):
+            if not Y & nonreduced:
                 memo[Y] = self._closure_leaf(Y)
             else:
                 stack = [(Y, self.reduction_branches(Y))]
@@ -110,7 +123,7 @@ class _Translation:
                     X, branches = stack[-1]
                     for Z, _ in branches:
                         if Z not in memo:
-                            if all(f.reduced for f in Z):
+                            if not Z & nonreduced:
                                 memo[Z] = self._closure_leaf(Z)
                             else:
                                 stack.append((Z, self.reduction_branches(Z)))
@@ -136,43 +149,28 @@ class _Translation:
         an R# obligation starting at the very end has no later position to
         constrain and is vacuously discharged.
         """
-        candidates = [f for f in Y if f is not END]
-        psi = max(candidates, key=sort_key)
-        rest = Y - {psi}
-
-        def branch(added, *events):
-            added = set(added)
-            now_fresh = (fresh | {m for m in added if m not in rest}) & (rest | added)
-            return (rest | added, frozenset(now_fresh), tuple(events))
-
-        if psi.reduced:
+        i = (Y & self.not_end).bit_length() - 1
+        psi = 1 << i
+        if not psi & self.nonreduced:
             # a letter test or a next step: unsatisfiable at the end
             return []
-        if isinstance(psi, And):
-            return [branch({psi.left, psi.right})]
-        if isinstance(psi, Or):
-            return [branch({psi.left}), branch({psi.right})]
-        if isinstance(psi, Until):
-            return [branch({psi.right})]
-        if isinstance(psi, UntilLeq):
-            return [branch({psi.right}, (self.index[psi], "r"))]
-        if isinstance(psi, ReleaseGeq):
-            if psi in fresh:
-                # started at the end of the word: no position left to refute
-                return [branch(())]
-            # discharged by its target holding at the end, or by checking
-            # that enough occurrences of its left operand were counted
-            return [branch({psi.right}), branch((), (self.index[psi], "cr"))]
-        raise TypeError("unexpected member %r" % (psi,))
+        rest = Y ^ psi
+        rules = [(0, ())] if psi & fresh & self.release else self.end_rules[i]
+        out = []
+        for added, events in rules:
+            Z = rest | added
+            out.append((Z, (fresh | Z ^ rest) & Z, events))  # Z ^ rest surfaced
+        return out
 
-    def end_closure(self, Y, fresh=frozenset()):
+    def end_closure(self, Y, fresh=0):
         """Event sequences discharging every pending obligation at the end of
         the word; empty set when Y is not satisfiable there. Walks the
         resolution steps children first on an explicit stack, as closure
         does."""
         memo = self._end_memo
+        not_end = self.not_end
         if (Y, fresh) not in memo:
-            if all(f is END for f in Y):
+            if not Y & not_end:
                 memo[Y, fresh] = frozenset({()})
             else:
                 stack = [((Y, fresh), self.end_branches(Y, fresh))]
@@ -180,7 +178,7 @@ class _Translation:
                     key, branches = stack[-1]
                     for Z, z_fresh, _ in branches:
                         if (Z, z_fresh) not in memo:
-                            if all(f is END for f in Z):
+                            if not Z & not_end:
                                 memo[Z, z_fresh] = frozenset({()})
                             else:
                                 stack.append(((Z, z_fresh), self.end_branches(Z, z_fresh)))
@@ -192,86 +190,83 @@ class _Translation:
         return memo[Y, fresh]
 
     def events_to_actions(self, events):
-        seqs = [[] for _ in range(self.k)]
-        for j, token in events:
-            seqs[j - 1].append(token)
-        return tuple(tuple(s) for s in seqs)
+        actions = self._actions_memo.get(events)
+        if actions is None:
+            seqs = [[] for _ in range(self.k)]
+            for j, token in events:
+                seqs[j - 1].append(token)
+            actions = self._actions_memo[events] = tuple(tuple(s) for s in seqs)
+        return actions
 
     def endpoint(self, Z):
         """(letters, target) of a reduced pseudo-state Z, or None when Z reads
         no letter or its target is inconsistent."""
-        if Z in self._endpoint_memo:
-            return self._endpoint_memo[Z]
-        # Z reads the letters that all its atoms name; End names none
-        atoms = {f.letter if f is not END else None for f in Z if f.atomic}
-        letters = [a for a in self.alphabet if atoms <= {a}]
+        letters = tuple(a for a, forbidden in self.forbidden if not Z & forbidden)
         # reading a letter consumes the atoms and strips one X from every
         # Next member; a target holding two letter tests is unsatisfiable
-        target = frozenset(f.operand for f in Z if type(f) is Next)
-        step = None
-        if letters and sum(f.atomic for f in target) <= 1:
-            step = letters, target
-        self._endpoint_memo[Z] = step
-        return step
+        target, nexts = 0, Z & self.next_mask
+        while nexts:
+            low = nexts & -nexts
+            target |= self.operand[low.bit_length() - 1]
+            nexts ^= low
+        if letters and (target & self.atomic).bit_count() <= 1:
+            return letters, target
+        return None
 
     def build(self):
-        start = frozenset({self.phi})
-        states = {start}
-        worklist = [start]
-        transitions = set()
+        masks = [self.start]  # the states in the order they are found
+        number = {self.start: 0}
+        transitions = []
         exits = {}
-        while worklist:
-            Y = worklist.pop()
+        for y, Y in enumerate(masks):
             final_events = self.end_closure(Y)
             if final_events:
-                exits[Y] = tuple(sorted({self.events_to_actions(ev) for ev in final_events}))
-            for Z, events in self.closure(Y):
-                letters, target = self.endpoint(Z)
-                actions = self.events_to_actions(events)
-                transitions.update((Y, a, actions, target) for a in letters)
-                if target not in states:
-                    states.add(target)
-                    worklist.append(target)
-        state_names = sorted(states, key=_state_key)
+                exits[y] = tuple(sorted({self.events_to_actions(ev) for ev in final_events}))
+            for (letters, target), events in self.closure(Y):
+                if target not in number:
+                    number[target] = len(masks)
+                    masks.append(target)
+                transitions.append((y, letters, self.events_to_actions(events), number[target]))
+        # states by size, then by their members' sort keys, which is bit order
+        order = sorted(range(len(masks)),
+                       key=lambda y: (masks[y].bit_count(), list(_bits(masks[y]))))
+        pos = {y: i for i, y in enumerate(order)}
+        names = [frozenset(map(self.nodes.__getitem__, _bits(masks[y]))) for y in order]
         # transitions follow the state order, then letter and actions
-        pos = {Y: i for i, Y in enumerate(state_names)}
+        transitions = sorted({(pos[y], a, pos[z], actions)
+                              for y, letters, actions, z in transitions for a in letters})
         return CostAutomaton(
             kind=self.polarity,
             alphabet=self.alphabet,
-            states=tuple(state_names),
-            initial=frozenset({start}),
-            final=frozenset(exits),
+            states=tuple(names),
+            initial=frozenset({names[pos[0]]}),
+            final=frozenset(names[pos[y]] for y in exits),
             counters=self.k,
-            transitions=tuple(sorted(
-                transitions, key=lambda t: (pos[t[0]], t[1], pos[t[3]], t[2]))),
-            exits=exits,
+            transitions=tuple((names[i], a, actions, names[j]) for i, a, j, actions in transitions),
+            exits={names[i]: exits[y] for i, y in enumerate(order) if y in exits},
             epsilon_value=self.epsilon_value(),
         )
 
     def epsilon_value(self):
         # on the empty word every obligation starts at the end
-        start = frozenset({self.phi})
-        runs = [self.events_to_actions(ev) for ev in self.end_closure(start, fresh=start)]
+        runs = [self.events_to_actions(ev) for ev in self.end_closure(self.start, self.start)]
         return _runs_value(self.polarity, self.k, runs)
 
 
-def _state_key(Y):
-    return (len(Y), sorted(map(sort_key, Y)))
+def _translate(phi, alphabet, polarity, other, message):
+    alphabet = Alphabet(alphabet)
+    subs = subformulas(phi)
+    if any(type(s) is other for s in subs):
+        raise ValueError(message)
+    return _Translation(phi, subs, alphabet, polarity).build()
 
 
 def ltl_to_b(phi, alphabet):
     """Exact compilation: eval_b of the result equals sem_inf of phi."""
-    alphabet = Alphabet(alphabet)
-    if not is_ltl(phi):
-        raise ValueError("ltl_to_b expects a pure LTL<= formula")
-    return _Translation(phi, alphabet, "B").build()
+    return _translate(phi, alphabet, "B", ReleaseGeq, "ltl_to_b expects a pure LTL<= formula")
 
 
 def nltl_to_s(phi, alphabet):
     """Compilation correct up to cost equivalence: eval_s of the result and
     sem_sup of phi are bounded on the same word families."""
-    alphabet = Alphabet(alphabet)
-    if not is_nltl(phi):
-        raise ValueError("nltl_to_s expects a pure nLTL<= formula")
-    return _Translation(phi, alphabet, "S").build()
-
+    return _translate(phi, alphabet, "S", UntilLeq, "nltl_to_s expects a pure nLTL<= formula")

@@ -4,7 +4,7 @@ run-semigroup closure, plus witness pumping."""
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from costltl import (
     INF,
@@ -28,7 +28,8 @@ from costltl import (
     witness_word,
 )
 from costltl.automata import S_TOKENS
-from costltl.bounded import BoundednessResult, compose_actions, run_semigroup_closure
+from costltl.actions import S_ACTIONS, S_ELEMS
+from costltl.bounded import GOOD, BoundednessResult, compose_actions, run_semigroup_closure
 from conftest import AB, EXIT_ON_EMPTY_WORD, corpus, fixture
 from test_translate import _criterion9_distinct
 
@@ -256,12 +257,42 @@ def test_random_automata_closure_agrees_and_witnesses_pump(aut):
     _assert_closure_agrees_and_witness_pumps(aut)
 
 
+# A bounded draw on which the search ran out of its budget before it dropped
+# the configurations whose bottom action is no longer good.
+_BUDGET_DRAW = CostAutomaton(
+    kind="S",
+    alphabet=AB,
+    states=("q0", "q1"),
+    initial=frozenset({"q0"}),
+    final=frozenset({"q0"}),
+    counters=2,
+    transitions=(
+        ("q0", "a", (("i",), ("e", "cr")), "q1"),
+        ("q0", "a", ((), ()), "q0"),
+        ("q0", "a", (("cr", "e"), ("i",)), "q1"),
+        ("q1", "a", ((), ()), "q0"),
+    ),
+    exits={"q0": ((("cr",), ()),)},
+)
+
+
 # At 3 counters and 3 states some draws exhaust the on-the-fly budget, so the
 # widest random case stays at 2 counters and small automata.
 @settings(max_examples=200, deadline=None)
 @given(_s_automata(2, max_states=2, max_transitions=5, max_tokens=2))
+@example(_BUDGET_DRAW)
 def test_random_two_counter_automata_closure_agrees_and_witnesses_pump(aut):
     _assert_closure_agrees_and_witness_pumps(aut)
+
+
+def test_actions_that_are_not_good_form_a_right_ideal():
+    # the on-the-fly search drops a configuration whose bottom action is not
+    # good: only right products reach that action, and they keep it bad
+    bad = [x for x in S_ELEMS if x not in GOOD]
+    assert bad == ["crw", "cr", "bot"]
+    for x in bad:
+        for y in S_ELEMS:
+            assert S_ACTIONS.mul(x, y) not in GOOD, (x, y)
 
 
 def _two_loop_automaton(declared):
@@ -301,14 +332,17 @@ def _boundedness_digest(formulas):
 # sha256 of each on-the-fly verdict and witness (or budget error) and each
 # closure verdict with its sorted element triples, on rename_states of
 # nltl_to_s(dualize(phi)), recorded before composed actions were interned:
-# a faster search must reach the same answers. Two criterion 9 formulae
-# exhaust the on-the-fly budget.
+# a faster search must reach the same answers. One criterion 9 formula
+# exhausts the on-the-fly budget. The criterion 9 digest was re-pinned when
+# the search began to drop configurations whose bottom action is not good:
+# (END U# X b) U END U# (b U a) U# (END | a) went from the budget error to
+# bounded, as the closure says, and no other line changed.
 @pytest.mark.parametrize("formulas, expected", [
     pytest.param(corpus,
                  "69cf16929ddbd11f36cae7c86954f5aead5d3db49a658cf479200c7fb35d6124",
                  id="corpus"),
     pytest.param(lambda: _criterion9_distinct(60),
-                 "3ccbd40cec2f3732bcd5706f2be078e829fdad41ae2ad1c02a80817c9c4a0480",
+                 "457c66f981fe993ee145644bd5fad1b28bc984be78aeca4392a8a953560b4dae",
                  id="criterion9"),
 ])
 def test_boundedness_outputs_are_pinned(formulas, expected):

@@ -7,7 +7,14 @@ import random
 import pytest
 
 from costltl import (
+    END,
     INF,
+    And,
+    Atom,
+    Next,
+    Or,
+    ReleaseGeq,
+    Until,
     dualize,
     dumps_automaton,
     eval_b,
@@ -21,6 +28,7 @@ from costltl import (
     sem_sup,
     validate,
 )
+from costltl.formula import subformulas
 from conftest import AB, all_words, corpus
 
 
@@ -91,11 +99,44 @@ def _criterion9_distinct(count):
     return out
 
 
+def _random_nltl(rng, depth):
+    """A random nLTL<= formula that uses R# directly, not through dualize."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Atom("a"), Atom("b"), END])
+    kind = rng.choice([And, Or, Next, Until, ReleaseGeq, ReleaseGeq])
+    if kind is Next:
+        return Next(_random_nltl(rng, depth - 1))
+    return kind(_random_nltl(rng, depth - 1), _random_nltl(rng, depth - 1))
+
+
+def _nltl_distinct(count):
+    """The first `count` distinct formulae of a seed-91 depth-4 draw."""
+    rng = random.Random(91)
+    out, seen = [], set()
+    while len(out) < count:
+        phi = _random_nltl(rng, 4)
+        if phi not in seen:
+            seen.add(phi)
+            out.append(phi)
+    return out
+
+
+def _renamed_dump(aut):
+    return dumps_automaton(rename_states(aut)).encode()
+
+
 def _dumps_digest(formulas):
     digest = hashlib.sha256()
     for phi in formulas:
-        for aut in (ltl_to_b(phi, AB), nltl_to_s(dualize(phi, AB), AB)):
-            digest.update(dumps_automaton(rename_states(aut)).encode())
+        digest.update(_renamed_dump(ltl_to_b(phi, AB)))
+        digest.update(_renamed_dump(nltl_to_s(dualize(phi, AB), AB)))
+    return digest.hexdigest()
+
+
+def _s_dumps_digest(formulas):
+    digest = hashlib.sha256()
+    for phi in formulas:
+        digest.update(_renamed_dump(nltl_to_s(phi, AB)))
     return digest.hexdigest()
 
 
@@ -112,3 +153,17 @@ def _dumps_digest(formulas):
 ])
 def test_compiled_automata_are_byte_identical(formulas, expected):
     assert _dumps_digest(formulas()) == expected
+
+
+# the same digest over a larger criterion 9 pool, and the digest of the
+# renamed dumps of nltl_to_s(phi) on formulae that use R# directly, where
+# R# members surface inside the end-of-word resolution in shapes that dual
+# formulae do not take; both recorded before pseudo-states became bit masks
+def test_compiled_automata_are_byte_identical_on_larger_pool():
+    assert _dumps_digest(_criterion9_distinct(300)) == "79104e9d8428552c9e29c1a0d6e99d5a68ccc668cf493893de51d8884b08995e"
+
+
+def test_direct_release_automata_are_byte_identical():
+    formulas = _nltl_distinct(200)
+    assert sum(isinstance(s, ReleaseGeq) for phi in formulas for s in subformulas(phi)) > 200
+    assert _s_dumps_digest(formulas) == "4e8d5f6e30612eb9737c4477edc1287a341ee8663da9c1d174fe285603c1a337"
