@@ -220,11 +220,6 @@ def _runs_value(kind, counters, runs):
     return _best(kind, [_step(start, _program(actions))[0] for actions in runs])
 
 
-def eval_s_at_least(aut, u, n):
-    """True iff eval_s(aut, u) >= n."""
-    return eval_s(aut, u) >= n
-
-
 def contract_b(aut):
     """Replace every action sequence by its maximal atomic action.
 

@@ -342,10 +342,11 @@ def dualize(node, alphabet):
     formula for the complement budget semantics. Each subformula is negated
     once, children before parents, so deep formulae need no recursion."""
     alphabet = Alphabet(alphabet)
-    if not is_ltl(node):
+    subs = subformulas(node)
+    if any(type(s) is ReleaseGeq for s in subs):
         raise ValueError("dualize expects a pure LTL<= formula")
     neg = {}
-    for n in sorted(subformulas(node), key=size):
+    for n in sorted(subs, key=size):
         kind = type(n)
         if kind is Atom:
             out = neg_atom(n.letter, alphabet)
@@ -362,7 +363,7 @@ def dualize(node, alphabet):
             # the refuting position must itself refute the until target
             nr = neg[n.right]
             out = Until(nr, And(nr, Or(neg[n.left], END)))
-        else:  # UntilLeq: is_ltl rules out ReleaseGeq
+        else:  # UntilLeq: ReleaseGeq was ruled out above
             # R counts from the next position on, so it cannot refute the
             # until target holding right here; conjoin that refutation.
             out = And(neg[n.right], ReleaseGeq(neg[n.left], neg[n.right]))

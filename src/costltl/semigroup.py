@@ -345,56 +345,74 @@ def parse_expr(text):
     return node
 
 
+def _bottom_up(e, letter, cat, unary):
+    """Value of expression e: letter(symbol) at a letter, cat(left, right)
+    at a concatenation and unary(node, operand's value) at an exponent.
+    Nodes are valued left to right, children first, on explicit stacks, so
+    neither a long product nor deep nesting recurses."""
+    order, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ECat):
+            todo += (node.left, node.right)
+        elif isinstance(node, (EOmega, EOmegaSharp, ESharp)):
+            todo.append(node.operand)
+        elif not isinstance(node, ELetter):
+            raise TypeError("not an expression node: %r" % (node,))
+        order.append(node)
+    values = []
+    # order has each node before its right, then its left subtree; reversed,
+    # it has children first, left to right
+    for node in reversed(order):
+        if isinstance(node, ELetter):
+            values.append(letter(node.letter))
+        elif isinstance(node, ECat):
+            right = values.pop()
+            values[-1] = cat(values[-1], right)
+        else:
+            values[-1] = unary(node, values[-1])
+    return values[0]
+
+
 def render_expr(e):
-    if isinstance(e, ELetter):
-        return e.letter
-    if isinstance(e, ECat):
-        left, right = render_expr(e.left), render_expr(e.right)
+    def cat(left, right):
         if left.endswith("^w") and right.startswith("s"):
             # a^w then s would read back as a^ws, the omega-sharp
             right = "(s)" + right[1:]
         return left + right
-    inner = render_expr(e.operand)
-    if isinstance(e.operand, (ECat,)) or len(inner) > 1:
-        inner = "(" + inner + ")"
-    op = {EOmega: "^w", EOmegaSharp: "^ws", ESharp: "^#"}[type(e)]
-    return inner + op
+
+    def unary(node, inner):
+        if isinstance(node.operand, ECat) or len(inner) > 1:
+            inner = "(" + inner + ")"
+        return inner + {EOmega: "^w", EOmegaSharp: "^ws", ESharp: "^#"}[type(node)]
+
+    return _bottom_up(e, str, cat, unary)
 
 
 def eval_expr(sg, h, e):
-    if isinstance(e, ELetter):
-        if e.letter not in h:
-            raise ValueError("letter %r has no image" % (e.letter,))
-        return h[e.letter]
-    if isinstance(e, ECat):
-        return sg.mul(eval_expr(sg, h, e.left), eval_expr(sg, h, e.right))
-    if isinstance(e, EOmega):
-        return idempotent_power(sg, eval_expr(sg, h, e.operand))
-    if isinstance(e, EOmegaSharp):
-        return omega_sharp(sg, eval_expr(sg, h, e.operand))
-    if isinstance(e, ESharp):
-        x = eval_expr(sg, h, e.operand)
+    def letter(a):
+        if a not in h:
+            raise ValueError("letter %r has no image" % (a,))
+        return h[a]
+
+    def unary(node, x):
+        if isinstance(node, EOmega):
+            return idempotent_power(sg, x)
+        if isinstance(node, EOmegaSharp):
+            return omega_sharp(sg, x)
         if not sg.is_idempotent(x):
             raise ValueError("not well-formed: sharp applied to non-idempotent %s" % (x,))
         return sg.sharp[x]
-    raise TypeError("not an expression node: %r" % (e,))
+
+    return _bottom_up(e, letter, sg.mul, unary)
 
 
 def instantiate(e, k, n):
     """E(k, n): replace omega exponents by k and sharp exponents by n."""
     if k < 1 or n < 1:
         raise ValueError("instantiate needs k, n >= 1")
-    if isinstance(e, ELetter):
-        return e.letter
-    if isinstance(e, ECat):
-        return instantiate(e.left, k, n) + instantiate(e.right, k, n)
-    if isinstance(e, EOmega):
-        return instantiate(e.operand, k, n) * k
-    if isinstance(e, EOmegaSharp):
-        return instantiate(e.operand, k, n) * (k * n)
-    if isinstance(e, ESharp):
-        return instantiate(e.operand, k, n) * n
-    raise TypeError("not an expression node: %r" % (e,))
+    power = {EOmega: k, EOmegaSharp: k * n, ESharp: n}
+    return _bottom_up(e, str, str.__add__, lambda node, word: word * power[type(node)])
 
 
 def classify(rec, e):

@@ -2,9 +2,11 @@
 
 States are pseudo-states: sets of pending formulae. Epsilon reduction rules
 rewrite the largest non-reduced member until only atoms and Next formulae
-remain; reading a letter then strips one Next from every member. The epsilon
+remain; reading a letter then strips one Next from every member. At the end
+of the word a second rule table resolves every member but End. The epsilon
 steps carry the counter actions; they are composed into the letter transitions
-and into per-state accepting exits.
+and into per-state accepting exits. Both closures are one memoised walk,
+_fold, over the steps that one of the two tables gives.
 
 Each translation numbers its universe, the subformulae of its input and
 Next(psi) for each until-like subformula psi, once in sort_key order. A
@@ -24,6 +26,39 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _fold(memo, root, expand):
+    """Value of root, memoised in memo with every key it reaches.
+
+    expand(key) gives a leaf's value, a set of (payload, events) pairs, or
+    the list of the key's steps (child, events); a key's value is then the
+    union over its steps of the child's pairs, with the step's events put in
+    front. Steps form an acyclic graph, walked children first on an explicit
+    stack so that a long chain of steps needs no deep call stack."""
+    stack = [(None, [(root, ())])]  # a parent of root, never memoised
+    while stack:
+        key, steps = stack[-1]
+        for child, _ in steps:
+            if child not in memo:
+                value = expand(child)
+                if type(value) is list:
+                    stack.append((child, value))
+                    break
+                memo[child] = value
+        else:
+            stack.pop()
+            if stack:
+                value = set()
+                for child, events in steps:
+                    if events:
+                        value.update((p, events + ev) for p, ev in memo[child])
+                    else:
+                        # most steps carry no event: take the child's pairs
+                        # as they are
+                        value.update(memo[child])
+                memo[key] = value
+    return memo[root]
 
 
 def _rules(psi, bit, index):
@@ -93,63 +128,36 @@ class _Translation:
                 self.step_rules[i] = step
         self._closure_memo, self._end_memo, self._actions_memo = {}, {}, {}
 
-    def reduction_branches(self, Y):
-        """One reduction step applied to the maximal non-reduced member:
-        (new pseudo-state, events) pairs."""
+    def _step_expand(self, Y):
+        """Steps (next pseudo-state, events) rewriting the maximal non-reduced
+        member of Y; a reduced Y is a leaf valued by its letter step."""
         i = (Y & self.nonreduced).bit_length() - 1
+        if i < 0:
+            # an endpoint with no letter step starts no transition; dropping it
+            # here keeps it out of every closure above
+            step = self.endpoint(Y)
+            return {(step, ())} if step is not None else set()
         rest = Y ^ (1 << i)
         return [(rest | added, events) for added, events in self.step_rules[i]]
 
-    def _closure_leaf(self, Y):
-        # an endpoint with no letter step starts no transition; dropping it
-        # here keeps it out of every closure above
-        step = self.endpoint(Y)
-        return {(step, ())} if step is not None else set()
-
     def closure(self, Y):
         """The letter steps (see endpoint) of all reduced endpoints reachable
-        by epsilon reductions from Y, with composed events. Reduction
-        steps form an acyclic graph, walked children first on an explicit
-        stack so that a long chain of steps needs no deep call stack; a
-        reduced pseudo-state is valued where it is met."""
-        memo = self._closure_memo
-        nonreduced = self.nonreduced
-        if Y not in memo:
-            if not Y & nonreduced:
-                memo[Y] = self._closure_leaf(Y)
-            else:
-                stack = [(Y, self.reduction_branches(Y))]
-                while stack:
-                    X, branches = stack[-1]
-                    for Z, _ in branches:
-                        if Z not in memo:
-                            if not Z & nonreduced:
-                                memo[Z] = self._closure_leaf(Z)
-                            else:
-                                stack.append((Z, self.reduction_branches(Z)))
-                                break
-                    else:
-                        stack.pop()
-                        result = set()
-                        for Z, events in branches:
-                            if events:
-                                result.update((W, events + ev) for W, ev in memo[Z])
-                            else:
-                                # most branches carry no event: share Z's
-                                # pairs as they are
-                                result.update(memo[Z])
-                        memo[X] = result
-        return memo[Y]
+        by epsilon reductions from Y, each paired with its composed events."""
+        return _fold(self._closure_memo, Y, self._step_expand)
 
-    def end_branches(self, Y, fresh):
-        """One resolution step of the maximal unresolved member at the end of
-        the word, where only End holds and there is no next position.
+    def _end_expand(self, key):
+        """Steps resolving the maximal member of Y other than End, for key
+        (Y, fresh), at the end of the word, where only End holds and there is
+        no next position; a Y of End alone is a leaf.
 
         fresh marks members that only surfaced during this end resolution;
         an R# obligation starting at the very end has no later position to
         constrain and is vacuously discharged.
         """
+        Y, fresh = key
         i = (Y & self.not_end).bit_length() - 1
+        if i < 0:
+            return {(None, ())}
         psi = 1 << i
         if not psi & self.nonreduced:
             # a letter test or a next step: unsatisfiable at the end
@@ -159,35 +167,14 @@ class _Translation:
         out = []
         for added, events in rules:
             Z = rest | added
-            out.append((Z, (fresh | Z ^ rest) & Z, events))  # Z ^ rest surfaced
+            out.append(((Z, (fresh | Z ^ rest) & Z), events))  # Z ^ rest surfaced
         return out
 
     def end_closure(self, Y, fresh=0):
-        """Event sequences discharging every pending obligation at the end of
-        the word; empty set when Y is not satisfiable there. Walks the
-        resolution steps children first on an explicit stack, as closure
-        does."""
-        memo = self._end_memo
-        not_end = self.not_end
-        if (Y, fresh) not in memo:
-            if not Y & not_end:
-                memo[Y, fresh] = frozenset({()})
-            else:
-                stack = [((Y, fresh), self.end_branches(Y, fresh))]
-                while stack:
-                    key, branches = stack[-1]
-                    for Z, z_fresh, _ in branches:
-                        if (Z, z_fresh) not in memo:
-                            if not Z & not_end:
-                                memo[Z, z_fresh] = frozenset({()})
-                            else:
-                                stack.append(((Z, z_fresh), self.end_branches(Z, z_fresh)))
-                                break
-                    else:
-                        stack.pop()
-                        memo[key] = frozenset(events + ev for Z, z_fresh, events in branches
-                                              for ev in memo[Z, z_fresh])
-        return memo[Y, fresh]
+        """Event sequences, each paired with None, discharging every pending
+        obligation at the end of the word; empty when Y is not satisfiable
+        there."""
+        return _fold(self._end_memo, (Y, fresh), self._end_expand)
 
     def events_to_actions(self, events):
         actions = self._actions_memo.get(events)
@@ -221,7 +208,7 @@ class _Translation:
         for y, Y in enumerate(masks):
             final_events = self.end_closure(Y)
             if final_events:
-                exits[y] = tuple(sorted({self.events_to_actions(ev) for ev in final_events}))
+                exits[y] = tuple(sorted({self.events_to_actions(ev) for _, ev in final_events}))
             for (letters, target), events in self.closure(Y):
                 if target not in number:
                     number[target] = len(masks)
@@ -249,7 +236,7 @@ class _Translation:
 
     def epsilon_value(self):
         # on the empty word every obligation starts at the end
-        runs = [self.events_to_actions(ev) for ev in self.end_closure(self.start, self.start)]
+        runs = [self.events_to_actions(ev) for _, ev in self.end_closure(self.start, self.start)]
         return _runs_value(self.polarity, self.k, runs)
 
 

@@ -17,7 +17,6 @@ from costltl import (
     dumps_automaton,
     eval_b,
     eval_s,
-    eval_s_at_least,
     load_automaton,
     loads_automaton,
     loads_semigroup,
@@ -193,14 +192,6 @@ def test_empty_word_takes_the_exits_of_the_initial_states():
     assert eval_b(b_aut, "aa") == 1
     # a stored value overrides the exits
     assert eval_s(loads_automaton(EXIT_ON_EMPTY_WORD["S"] + "epsilon 4\n"), "") == 4
-
-
-def test_eval_s_at_least_is_threshold_view(fixture_automata):
-    aut = fixture_automata["count-letter-s.aut"]
-    for u in all_words(5):
-        v = eval_s(aut, u)
-        for n in range(0, 5):
-            assert eval_s_at_least(aut, u, n) == (v >= n), (u, n)
 
 
 def test_translated_automaton_matches_run_enumeration(corpus_formulas):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from costltl import eval_b, load_automaton, load_semigroup
+from costltl import eval_b, load_automaton, load_semigroup, parse_expr, render_expr
 from costltl.cli import main
 from conftest import FIXTURES, fixture
 
@@ -45,20 +45,45 @@ def test_eval_deep_formula(capsys, tmp_path):
     assert load_automaton(str(out_path)).kind == "S"
 
 
+def _within_one(x, y):
+    return x == y or "inf" not in (x, y) and abs(int(x) - int(y)) <= 1
+
+
 def test_compile_long_disjunction(capsys, tmp_path):
     # the epsilon closures take no recursion: 1,500 disjuncts reduce one
-    # after another
+    # after another, and the end closure resolves their dual, a 1,500-deep
+    # chain of conjunctions
     formula = " | ".join(["a"] * 1499 + ["b"])
-    out_path = str(tmp_path / "disjunction.aut")
+    b_path, s_path = str(tmp_path / "disjunction-b.aut"), str(tmp_path / "disjunction-s.aut")
     code, _, err = run(capsys, "compile-b", "--alphabet", "ab", "-f", formula,
-                       "-o", out_path)
+                       "-o", b_path)
     assert (code, err) == (0, "")
+    code, out, err = run(capsys, "compile-s", "--alphabet", "ab", "-f", formula,
+                         "-o", s_path)
+    assert (code, err) == (0, "")
+    assert out.count("&") == 1499
     for word in ("", "a", "b", "ba", "bb"):
         code, by_formula, _ = run(capsys, "eval", "--alphabet", "ab", "-f", formula,
                                   "-w", word)
         assert code == 0
-        code, by_automaton, _ = run(capsys, "eval-aut", "-a", out_path, "-w", word)
+        code, by_automaton, _ = run(capsys, "eval-aut", "-a", b_path, "-w", word)
         assert (code, by_automaton) == (0, by_formula), word
+        # the dual's S-automaton is within 1 of the formula's value
+        code, by_s_automaton, _ = run(capsys, "eval-aut", "-a", s_path, "-w", word)
+        assert code == 0
+        assert _within_one(by_s_automaton.strip(), by_formula.strip()), word
+
+
+def test_classify_long_expression(capsys):
+    # parse_expr nests one concatenation per factor; rendering and
+    # evaluating it take no recursion per factor
+    text = "ab" * 1500
+    assert render_expr(parse_expr(text)) == text
+    code, out, err = run(capsys, "semigroup", "classify", "-s", fixture("counting.sg"), text)
+    assert (code, out.strip(), err) == (0, "F-bounded", "")
+    code, out, err = run(capsys, "semigroup", "classify", "-s", fixture("counting.sg"),
+                         "(ab)^ws" + "b" * 3000)
+    assert (code, out.strip(), err) == (1, "F-infinity", "")
 
 
 def test_bounded_verdicts_and_exit_codes(capsys):
