@@ -12,6 +12,10 @@ without it the bounded-growth and everywhere-infinite behaviours collapse.
 For recognizers with a discrete order (classical languages) the bit is the
 negation of membership and the test reduces to the classic syntactic
 congruence.
+
+The quotient partitions the generated part (the elements that omega-sharp
+expressions over the letter images denote) in place: contexts and escapes
+use generated elements only, and a class is named after its first member.
 """
 
 from dataclasses import dataclass
@@ -20,33 +24,19 @@ from .core import order_closure, saturate
 from .semigroup import StabSemigroup, Recognizer, omega_sharp, power_cycle
 
 
-def restrict(sg, keep):
-    """The part of sg on keep, which must be closed under product."""
-    keep = [x for x in sg.elements if x in keep]
-    kset = set(keep)
-    product = {(x, y): sg.mul(x, y) for x in keep for y in keep}
-    leq = {(x, y) for (x, y) in sg.leq if x in kset and y in kset}
-    sharp = {x: sg.sharp[x] for x in keep if x in sg.sharp and sg.mul(x, x) == x}
-    neutral = sg.neutral if sg.neutral in kset else None
-    return StabSemigroup(tuple(keep), product, frozenset(leq), sharp, neutral)
-
-
-def _signature(sg, ideal, x):
-    """(membership, escape): inside the ideal, and whether anything above x
-    leaves it."""
-    return (x in ideal, any(y not in ideal for y in sg.upset(x)))
-
-
-def congruence_classes(sg, ideal):
-    """Partition refinement: coarsest partition separating signatures and
-    stable under the context-map generators."""
-    elems = sg.elements
+def congruence_classes(sg, ideal, elems):
+    """Partition refinement on elems, a product- and sharp-closed tuple of
+    sg's elements in element order: the coarsest partition separating
+    (membership, escape) signatures and stable under the context-map
+    generators built from elems. Escape asks whether some element of elems
+    above x leaves the ideal."""
     gens = []
     for x in elems:
         gens.append(lambda s, x=x: sg.mul(x, s))
         gens.append(lambda s, x=x: sg.mul(s, x))
     gens.append(lambda s: omega_sharp(sg, s))
-    block = {x: _signature(sg, ideal, x) for x in elems}
+    block = {x: (x in ideal, any(sg.le(x, y) and y not in ideal for y in elems))
+             for x in elems}
     while True:
         # a list, not a generator: the generator frames left the allocator
         # fragmented over many calls (ru_maxrss grew, live memory did not)
@@ -74,17 +64,16 @@ def syntactic_quotient(rec):
     sg = rec.semigroup
     # the elements denoted by omega-sharp expressions over the letter images
     gen = set(saturate(rec.h.values(), sg.mul, sg.sharp.__getitem__))
-    sg = restrict(sg, gen)
-    ideal = frozenset(x for x in rec.ideal if x in gen)
-    classes = congruence_classes(sg, ideal)
+    elems = tuple(x for x in sg.elements if x in gen)
+    classes = congruence_classes(sg, rec.ideal, elems)
     rep = {}
-    members = {}  # representative -> its class
+    members = {}  # representative (its first member) -> its class
     for cls in classes:
-        r = min(cls, key=sg.elements.index)
-        members[r] = cls
+        members[cls[0]] = cls
         for x in cls:
-            rep[x] = r
-    class_elems = tuple(sorted(members, key=sg.elements.index))
+            rep[x] = cls[0]
+    # classes come in order of their first members
+    class_elems = tuple(members)
 
     product = {}
     for cx in class_elems:
@@ -105,7 +94,7 @@ def syntactic_quotient(rec):
     order = _induced_order(class_elems, product, sharp)
     qsg = StabSemigroup(class_elems, product, frozenset(order), sharp,
                         rep.get(sg.neutral))
-    q_ideal = frozenset(rep[x] for x in ideal)
+    q_ideal = frozenset(rep[x] for x in rec.ideal if x in rep)
     q_h = {a: rep[v] for a, v in rec.h.items()}
     q_rec = Recognizer(qsg, q_h, q_ideal, rec.height)
     return Quotient(q_rec, tuple(tuple(c) for c in classes), dict(rep))

@@ -2,6 +2,7 @@
 factorization trees, sharp expressions and their boundedness classification."""
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import FORMAT_HEADER, INF, order_closure, read_fields
 
@@ -25,9 +26,6 @@ class StabSemigroup:
 
     def idempotents(self):
         return [x for x in self.elements if self.is_idempotent(x)]
-
-    def upset(self, x):
-        return {y for y in self.elements if self.le(x, y)}
 
 
 def make_semigroup(elements, product, order_pairs, sharp, neutral=None):
@@ -286,63 +284,49 @@ class ESharp(ExprNode):
     operand: ExprNode
 
 
+_SUPERSCRIPTS = (("^ws", EOmegaSharp), ("^w", EOmega), ("^#", ESharp))
+
+
 def parse_expr(text):
     """Grammar: juxtaposition concatenates; superscripts ^w (omega),
     ^ws (omega-sharp), ^# (plain sharp); parentheses group. A letter is any
-    non-blank symbol other than (, ) and ^."""
+    non-blank symbol other than (, ) and ^. One loop reads the text, keeping
+    the factors of each open group on a stack, so deep nesting does not
+    recurse."""
     pos = 0
-
-    def skip_ws():
-        nonlocal pos
+    groups = [[]]  # factors read so far in each open group, outermost first
+    while True:
         while pos < len(text) and text[pos].isspace():
             pos += 1
-
-    def parse_seq():
-        nonlocal pos
-        parts = []
-        while True:
-            skip_ws()
-            if pos >= len(text) or text[pos] == ")":
-                break
-            parts.append(parse_factor())
-        if not parts:
-            raise ValueError("empty expression at position %d" % pos)
-        node = parts[0]
-        for p in parts[1:]:
-            node = ECat(node, p)
-        return node
-
-    def parse_factor():
-        nonlocal pos
-        if text[pos] == "(":
+        char = text[pos] if pos < len(text) else None
+        if char == "(":
+            groups.append([])
             pos += 1
-            node = parse_seq()
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
+            continue
+        if char is None or char == ")":
+            factors = groups.pop()
+            if not factors:
+                raise ValueError("empty expression at position %d" % pos)
+            node = reduce(ECat, factors)
+            if not groups:
+                if char is None:
+                    return node
+                raise ValueError("trailing input at position %d" % pos)
+            if char is None:
                 raise ValueError("unbalanced parenthesis at position %d" % pos)
-            pos += 1
-        elif text[pos] != "^":
-            # any non-blank symbol but the grammar's own (, ) and ^
-            node = ELetter(text[pos])
-            pos += 1
+        elif char == "^":
+            raise ValueError("unexpected character %r at position %d" % (char, pos))
         else:
-            raise ValueError("unexpected character %r at position %d" % (text[pos], pos))
-        while pos < len(text) and text[pos] == "^":
-            if text[pos:pos + 3] == "^ws":
-                node, pos = EOmegaSharp(node), pos + 3
-            elif text[pos:pos + 2] == "^w":
-                node, pos = EOmega(node), pos + 2
-            elif text[pos:pos + 2] == "^#":
-                node, pos = ESharp(node), pos + 2
+            node = ELetter(char)
+        pos += 1
+        while text.startswith("^", pos):
+            for mark, op in _SUPERSCRIPTS:
+                if text.startswith(mark, pos):
+                    node, pos = op(node), pos + len(mark)
+                    break
             else:
                 raise ValueError("unknown superscript at position %d" % pos)
-        return node
-
-    node = parse_seq()
-    skip_ws()
-    if pos != len(text):
-        raise ValueError("trailing input at position %d" % pos)
-    return node
+        groups[-1].append(node)
 
 
 def _bottom_up(e, letter, cat, unary):

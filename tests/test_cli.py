@@ -75,12 +75,13 @@ def test_compile_long_disjunction(capsys, tmp_path):
 
 
 def test_classify_long_expression(capsys):
-    # parse_expr nests one concatenation per factor; rendering and
-    # evaluating it take no recursion per factor
-    text = "ab" * 1500
-    assert render_expr(parse_expr(text)) == text
-    code, out, err = run(capsys, "semigroup", "classify", "-s", fixture("counting.sg"), text)
-    assert (code, out.strip(), err) == (0, "F-bounded", "")
+    # parse_expr nests one concatenation per factor; parsing, rendering and
+    # evaluating take no recursion per factor or per parenthesis level
+    for text, rendered in [("ab" * 1500, "ab" * 1500),
+                           ("(" * 1500 + "ab" + ")" * 1500, "ab")]:
+        assert render_expr(parse_expr(text)) == rendered
+        code, out, err = run(capsys, "semigroup", "classify", "-s", fixture("counting.sg"), text)
+        assert (code, out.strip(), err) == (0, "F-bounded", "")
     code, out, err = run(capsys, "semigroup", "classify", "-s", fixture("counting.sg"),
                          "(ab)^ws" + "b" * 3000)
     assert (code, out.strip(), err) == (1, "F-infinity", "")

@@ -1,13 +1,18 @@
 """Syntactic-congruence minimization, aperiodicity, and definability."""
 
+from dataclasses import replace
+
 import pytest
 
 from costltl import (
     Recognizer,
     is_aperiodic,
     is_ltl_definable,
+    language_recognizer,
     load_semigroup,
+    ltl_to_b,
     make_semigroup,
+    parse,
     syntactic_quotient,
     validate_axioms,
 )
@@ -68,6 +73,17 @@ def test_padded_variant_reminimizes_to_three(counting_rec):
     assert validate_axioms(rec.semigroup) == []
     q = syntactic_quotient(rec)
     assert len(q.classes) == 3
+
+
+def test_quotient_stays_in_generated_part():
+    # contexts and escapes come from the generated part only: without an
+    # image of c no word satisfies the formula, so one class remains (a
+    # context built from c's elements would leave the generated part)
+    rec = language_recognizer(ltl_to_b(parse("F (c & X a)", "abc"), "abc"))
+    assert len(rec.semigroup.elements) == 8
+    assert len(syntactic_quotient(rec).classes) == 5
+    no_c = replace(rec, h={a: x for a, x in rec.h.items() if a != "c"})
+    assert len(syntactic_quotient(no_c).classes) == 1
 
 
 def test_minimization_is_idempotent(parity_rec, counting_rec):

@@ -23,7 +23,7 @@ from costltl import (
     validate_axioms,
 )
 from costltl.actions import S_ACTIONS, S_ELEMS
-from costltl.semigroup import ECat, ELetter, EOmega, EOmegaSharp
+from costltl.semigroup import ECat, ELetter, EOmega, EOmegaSharp, ESharp
 from conftest import all_words, assert_matches_scan, fixture
 
 
@@ -98,6 +98,33 @@ def test_render_keeps_omega_apart_from_letter_s():
     assert parse_expr(render_expr(e)) == e
     assert instantiate(parse_expr(render_expr(e)), 2, 3) == instantiate(e, 2, 3) == "aas"
     assert render_expr(EOmegaSharp(ELetter("a"))) == "a^ws"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty expression at position 0"),
+    ("()", "empty expression at position 1"),
+    ("  ", "empty expression at position 2"),
+    ("a(", "empty expression at position 2"),
+    ("a)", "trailing input at position 1"),
+    ("(a))", "trailing input at position 3"),
+    ("^w", "unexpected character '^' at position 0"),
+    ("a ^w", "unexpected character '^' at position 2"),
+    ("a^x", "unknown superscript at position 1"),
+    ("a^w^", "unknown superscript at position 3"),
+    ("(a)^", "unknown superscript at position 3"),
+    ("((a)", "unbalanced parenthesis at position 4"),
+])
+def test_parse_expr_errors(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_expr(text)
+    assert str(info.value) == message
+
+
+def test_parse_expr_groups_and_superscripts():
+    a, b, c, d = map(ELetter, "abcd")
+    assert parse_expr(" (a (b c)^w)^# d^ws") == ECat(
+        ESharp(ECat(a, EOmega(ECat(b, c)))), EOmegaSharp(d))
+    assert parse_expr("((a^w)^ws)") == EOmegaSharp(EOmega(a))
 
 
 def test_classify_counting(counting):
