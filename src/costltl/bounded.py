@@ -2,7 +2,9 @@
 
 Two procedures are provided. The on-the-fly method guesses a path with nested
 cycles in the automaton, keeping only a bounded stack of (composed action,
-state) frames; closing a cycle stabilizes its composed action. When the
+state) frames; closing a cycle stabilizes its composed action. It admits
+each configuration once, under a number, and drops those that cannot reach
+the goal or that a sibling with a smaller top action covers. When the
 function is unbounded it returns a witness script: a tuple of sharp-expression
 factors, one letter per step and one omega-sharp per closed cycle. The
 closure method builds the reachable part of the run semigroup: elements are
@@ -71,24 +73,27 @@ class _Memo(dict):
 class _Actions:
     """The composed actions of one search, numbered 0, 1, ... as they are
     met. ids[vec] is the number of an action, vecs[i] the action numbered i,
-    and good[i] says whether it avoids cr, crw and bot on every counter.
-    mul[i, j], sharp[i] (None when some counter's action has no sharp),
-    omega_sharp[i] and leq[i, j] are each one dict lookup once computed."""
+    good[i] says whether it avoids cr, crw and bot on every counter and
+    live[i] whether it avoids bot. mul[i, j], sharp[i] (None when some
+    counter's action has no sharp), omega_sharp[i] and leq[i, j] are each
+    one dict lookup once computed."""
 
-    __slots__ = ("ids", "vecs", "good", "mul", "leq", "sharp", "omega_sharp", "neutral")
+    __slots__ = ("ids", "vecs", "good", "live", "mul", "leq", "sharp", "omega_sharp",
+                 "neutral")
 
     def __init__(self, counters):
-        vecs, good, sharp = [], [], S_ACTIONS.sharp
+        vecs, good, live, sharp = [], [], [], S_ACTIONS.sharp
 
         def number(vec):
             vecs.append(vec)
             good.append(GOOD.issuperset(vec))
+            live.append("bot" not in vec)
             return len(vecs) - 1
 
         # the tables close over these locals, not over self: no cycle keeps
         # them alive once the search returns
         self.ids = ids = _Memo(number)
-        self.vecs, self.good = vecs, good
+        self.vecs, self.good, self.live = vecs, good, live
         self.mul = _Memo(lambda ij: ids[vec_product(vecs[ij[0]], vecs[ij[1]])])
         self.leq = _Memo(lambda ij: vec_leq(vecs[ij[0]], vecs[ij[1]]))
         self.sharp = _Memo(lambda i: ids[tuple(sharp[x] for x in vecs[i])]
@@ -148,14 +153,33 @@ def witness_word(script, n):
 def bounded_onthefly(aut):
     """Decide boundedness by a breadth-first search over memory
     configurations: stacks of (composed action, state) frames, at most
-    |counters| + 2 deep, each stored flat as (sigma0, q0, sigma1, q1, ...)."""
+    |counters| + 2 deep.
+
+    Configurations are numbered as they are admitted, and number k is stored
+    once as (number of the configuration below, top action, state, depth),
+    the number below None at depth 1: a step, a push and a closing each
+    build one 4-tuple. A new configuration is dropped when
+
+    - its bottom action is not good: that action only ever gets multiplied
+      on the right, and the actions that are not good form a right ideal;
+    - its top action holds bot above depth 1: bot absorbs every product and
+      is its own sharp, so the frame would pass it down to the bottom;
+    - one admitted with the same configuration below and the same state has
+      a top action <= its own (top-frame subsumption). Products are
+      monotone, the good actions are downward closed and sharp is monotone
+      on the idempotents, so the smaller action reaches whatever the larger
+      one reaches, with an action no worse. An action below a closable one
+      lacks a sharp only where the closable one holds bot, a dead frame.
+
+    MAX_ONTHEFLY_CONFIGS bounds the number of admitted configurations."""
     if aut.kind != "S":
         raise ValueError("boundedness is decided on S-automata")
     if eval_s(aut, "") == INF:
         return BoundednessResult(False, ())
     act = _Actions(aut.counters)
-    good, start, mul, sharp = act.good, act.neutral, act.mul, act.sharp
-    max_len = 2 * (aut.counters + 2)
+    good, live, start, mul, sharp, leq = (act.good, act.live, act.neutral, act.mul,
+                                          act.sharp, act.leq)
+    max_depth = aut.counters + 2 if aut.counters else 1  # no counter, no cycle to pump
     out = {}
     for src, sigma, dst, letter in contracted_edges(aut, act):
         out.setdefault(src, []).append((sigma, dst, letter))
@@ -172,39 +196,47 @@ def bounded_onthefly(aut):
     # the action a closed cycle leaves on the frame below it, or None
     closes = _Memo(lambda pair: None if sharp[pair[1]] is None
                    else mul[pair[0], sharp[pair[1]]])
-    parent = {}  # config -> the config it was first reached from
-    queue = []
+    configs = []  # number -> (below, top action, state, depth)
+    parent = []  # number -> the number of the configuration first reaching it
+    tops = {}  # (below, state) -> the top actions admitted over them
     for q in aut.states:
         if q in aut.initial:
-            parent[(start, q)] = None
-            queue.append((start, q))
+            configs.append((None, start, q, 1))
+            parent.append(None)
+            tops[None, q] = [start]
     head = 0
     goal = None
-    while head < len(queue) and goal is None:
-        if len(parent) > MAX_ONTHEFLY_CONFIGS:
+    while head < len(configs) and goal is None:
+        if len(configs) > MAX_ONTHEFLY_CONFIGS:
             raise RuntimeError("on-the-fly search exceeded %d configurations"
                                % MAX_ONTHEFLY_CONFIGS)
-        config = queue[head]
-        head += 1
-        below, top = config[:-2], config[-2:]
-        sigma_m, q_m = top
-        succs = [below + frame for frame in steps[top]]
-        if aut.counters and len(config) < max_len and q_m is not _ACCEPT:
-            succs.append(config + (start, q_m))  # open a cycle
-        if len(config) >= 4 and q_m == config[-3]:
-            merged = closes[config[-4], sigma_m]
-            if merged is not None:
-                succs.append(below[:-2] + (merged, q_m))  # close it
+        below, sigma_m, q_m, depth = configs[head]
+        succs = [(below, sigma, q, depth) for sigma, q in steps[sigma_m, q_m]]
+        if depth < max_depth and q_m is not _ACCEPT:
+            succs.append((head, start, q_m, depth + 1))  # open a cycle
+        if depth > 1:
+            lower, sigma_b, q_b, depth_b = configs[below]
+            if q_b == q_m:
+                merged = closes[sigma_b, sigma_m]
+                if merged is not None:
+                    succs.append((lower, merged, q_m, depth_b))  # close it
         for nxt in succs:
-            # the bottom action only ever gets multiplied on the right, and
-            # the actions that are not good form a right ideal: once bad, a
-            # configuration cannot reach the goal
-            if good[nxt[0]] and nxt not in parent:
-                parent[nxt] = config
-                if len(nxt) == 2 and nxt[1] is _ACCEPT:
-                    goal = nxt
-                    break
-                queue.append(nxt)
+            b, sigma, q, d = nxt
+            if not (good[sigma] if d == 1 else live[sigma]):
+                continue
+            admitted = tops.get((b, q))
+            if admitted is None:
+                tops[b, q] = [sigma]
+            elif sigma in admitted or any(leq[x, sigma] for x in admitted):
+                continue
+            else:
+                admitted.append(sigma)
+            parent.append(head)
+            configs.append(nxt)
+            if d == 1 and q is _ACCEPT:
+                goal = len(configs) - 1
+                break
+        head += 1
     if goal is None:
         return BoundednessResult(True, None)
     path = [goal]
@@ -214,13 +246,15 @@ def bounded_onthefly(aut):
     # a move adds a frame (open), drops one (close) or steps the top one
     stack = [[]]
     for prev, nxt in zip(path, path[1:]):
-        if len(nxt) > len(prev):
+        _, sigma_p, q_p, depth_p = configs[prev]
+        _, sigma_n, q_n, depth_n = configs[nxt]
+        if depth_n > depth_p:
             stack.append([])
-        elif len(nxt) < len(prev):
+        elif depth_n < depth_p:
             body = stack.pop()
             stack[-1].append(EOmegaSharp(reduce(ECat, body)))
         else:
-            letter = steps[prev[-2:]][nxt[-2:]]
+            letter = steps[sigma_p, q_p][sigma_n, q_n]
             if letter is not None:
                 stack[-1].append(ELetter(letter))
     assert len(stack) == 1

@@ -2,10 +2,15 @@
 
 import itertools
 import os
+from functools import reduce
 
 import pytest
 
-from costltl import INF, Alphabet, achievable_values, models, parse, recognize, words_upto
+from costltl import (INF, Alphabet, achievable_values, eval_s, models, parse, recognize,
+                     words_upto)
+from costltl.bounded import (_ACCEPT, MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions,
+                             _Memo, contracted_edges)
+from costltl.semigroup import ECat, ELetter, EOmegaSharp
 
 AB = Alphabet("ab")
 
@@ -284,3 +289,78 @@ def scan_sem_sup(phi, u):
         else:
             break
     return max(best, 0)
+
+
+# ---------------------------------------------------------------------------
+# Boundedness by a search that stores each configuration as its whole stack,
+# flat as (sigma0, q0, sigma1, q1, ...), and prunes only the configurations
+# whose bottom action is not good: the oracle for the numbered configurations
+# and top-frame subsumption of costltl.bounded.bounded_onthefly, whose
+# verdicts and witness scripts it must reproduce.
+
+
+def stack_bfs_onthefly(aut):
+    """bounded_onthefly's verdict and witness script, found over whole-stack
+    configurations."""
+    if eval_s(aut, "") == INF:
+        return BoundednessResult(False, ())
+    act = _Actions(aut.counters)
+    good, start, mul, sharp = act.good, act.neutral, act.mul, act.sharp
+    max_len = 2 * (aut.counters + 2)
+    out = {}
+    for src, sigma, dst, letter in contracted_edges(aut, act):
+        out.setdefault(src, []).append((sigma, dst, letter))
+
+    def step(top):
+        frames = {}
+        for sigma, dst, letter in out.get(top[1], ()):
+            frames.setdefault((mul[top[0], sigma], dst), letter)
+        return frames
+
+    steps = _Memo(step)
+    parent = {}
+    queue = []
+    for q in aut.states:
+        if q in aut.initial:
+            parent[(start, q)] = None
+            queue.append((start, q))
+    head = 0
+    goal = None
+    while head < len(queue) and goal is None:
+        if len(parent) > MAX_ONTHEFLY_CONFIGS:
+            raise RuntimeError("on-the-fly search exceeded %d configurations"
+                               % MAX_ONTHEFLY_CONFIGS)
+        config = queue[head]
+        head += 1
+        below, top = config[:-2], config[-2:]
+        sigma_m, q_m = top
+        succs = [below + frame for frame in steps[top]]
+        if aut.counters and len(config) < max_len and q_m is not _ACCEPT:
+            succs.append(config + (start, q_m))
+        if len(config) >= 4 and q_m == config[-3] and sharp[sigma_m] is not None:
+            succs.append(below[:-2] + (mul[config[-4], sharp[sigma_m]], q_m))
+        for nxt in succs:
+            if good[nxt[0]] and nxt not in parent:
+                parent[nxt] = config
+                if len(nxt) == 2 and nxt[1] is _ACCEPT:
+                    goal = nxt
+                    break
+                queue.append(nxt)
+    if goal is None:
+        return BoundednessResult(True, None)
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    stack = [[]]
+    for prev, nxt in zip(path, path[1:]):
+        if len(nxt) > len(prev):
+            stack.append([])
+        elif len(nxt) < len(prev):
+            body = stack.pop()
+            stack[-1].append(EOmegaSharp(reduce(ECat, body)))
+        else:
+            letter = steps[prev[-2:]][nxt[-2:]]
+            if letter is not None:
+                stack[-1].append(ELetter(letter))
+    return BoundednessResult(False, tuple(stack[0]))

@@ -2,6 +2,7 @@
 run-semigroup closure, plus witness pumping."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,8 +30,9 @@ from costltl import (
 )
 from costltl.automata import S_TOKENS
 from costltl.actions import S_ACTIONS, S_ELEMS
-from costltl.bounded import GOOD, BoundednessResult, compose_actions, run_semigroup_closure
-from conftest import AB, EXIT_ON_EMPTY_WORD, corpus, fixture
+from costltl.bounded import (GOOD, MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions,
+                             compose_actions, run_semigroup_closure)
+from conftest import AB, EXIT_ON_EMPTY_WORD, corpus, fixture, stack_bfs_onthefly
 from test_translate import _criterion9_distinct
 
 
@@ -276,13 +278,114 @@ _BUDGET_DRAW = CostAutomaton(
 )
 
 
-# At 3 counters and 3 states some draws exhaust the on-the-fly budget, so the
-# widest random case stays at 2 counters and small automata.
 @settings(max_examples=200, deadline=None)
 @given(_s_automata(2, max_states=2, max_transitions=5, max_tokens=2))
 @example(_BUDGET_DRAW)
 def test_random_two_counter_automata_closure_agrees_and_witnesses_pump(aut):
     _assert_closure_agrees_and_witness_pumps(aut)
+
+
+# The search is exponential in the number of counters, and a few draws of
+# this size still exhaust its budget (7 of 12,000 draws, variants of three
+# automata); it must then fail with its budget error. Wherever it answers,
+# it agrees with the closure. The closure, not the search, sets the cost of
+# a draw here (one draw in 6,000 took it 43 s), so the case runs fewer
+# examples than the smaller ones.
+@settings(max_examples=60, deadline=None)
+@given(_s_automata(3))
+def test_random_three_counter_automata_closure_agrees_and_witnesses_pump(aut):
+    try:
+        _assert_closure_agrees_and_witness_pumps(aut)
+    except RuntimeError as e:
+        assert str(e) == "on-the-fly search exceeded %d configurations" % MAX_ONTHEFLY_CONFIGS
+
+
+# Seeded 3-counter draws on which the search over whole stacks
+# (stack_bfs_onthefly) exhausts the budget: one bounded, one unbounded.
+_THREE_COUNTER_DRAWS = [
+    CostAutomaton(
+        kind="S",
+        alphabet=AB,
+        states=("q0", "q1", "q2"),
+        initial=frozenset({"q0", "q2"}),
+        final=frozenset({"q1"}),
+        counters=3,
+        transitions=(
+            ("q0", "b", (("r", "e"), (), ()), "q2"),
+            ("q2", "b", (("i", "r", "cr"), ("cr", "cr"), ()), "q0"),
+            ("q1", "a", ((), (), ("r",)), "q2"),
+            ("q0", "a", (("r", "i", "r"), ("i",), ()), "q0"),
+            ("q0", "a", (("e", "e"), ("e", "cr", "r"), ("r", "e", "e")), "q0"),
+            ("q2", "a", ((), (), ("i", "cr", "cr")), "q2"),
+        ),
+        exits={"q1": ((("cr",), (), ("r", "cr", "i")), (("e", "e", "cr"), ("cr", "r"), ()))},
+    ),
+    CostAutomaton(
+        kind="S",
+        alphabet=AB,
+        states=("q0",),
+        initial=frozenset({"q0"}),
+        final=frozenset({"q0"}),
+        counters=3,
+        transitions=(
+            ("q0", "a", (("e", "cr"), ("r", "cr", "i"), ()), "q0"),
+            ("q0", "a", (("e",), ("e",), ("cr", "cr")), "q0"),
+            ("q0", "a", ((), ("i", "e", "i"), ()), "q0"),
+            ("q0", "b", (("e", "i", "e"), ("cr",), ()), "q0"),
+            ("q0", "a", (("i",), ("r",), ("r", "cr")), "q0"),
+            ("q0", "a", (("cr", "i", "r"), ("e",), ("i",)), "q0"),
+        ),
+        exits={"q0": (((), ("e", "cr"), ("cr", "e")),)},
+    ),
+]
+
+
+@pytest.mark.parametrize("aut, witness", zip(_THREE_COUNTER_DRAWS, [None, "a^ws((ba^ws)^wsa)^ws"]),
+                         ids=["bounded", "unbounded"])
+def test_three_counter_draws_decide_within_budget(aut, witness):
+    result = bounded_onthefly(aut)
+    assert (None if result.bounded else _rendered(result.script)) == witness
+    _assert_closure_agrees_and_witness_pumps(aut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(_s_automata))
+def test_numbered_search_matches_whole_stack_search(aut):
+    # the numbered search drops configurations that an admitted one covers
+    # and frames that hold bot; the verdict and the breadth-first witness
+    # stay those of the search over whole stacks
+    assert bounded_onthefly(aut) == stack_bfs_onthefly(aut)
+
+
+@pytest.mark.parametrize("counters", [1, 2])
+def test_action_order_facts_behind_top_frame_subsumption(counters):
+    # the on-the-fly search drops a configuration whose top action is above
+    # an admitted one over the same frames below; every step, push, closing
+    # and goal test must then treat the smaller action at least as well
+    act = _Actions(counters)
+    ids = [act.ids[v] for v in itertools.product(S_ELEMS, repeat=counters)]
+    for x, y in itertools.product(ids, repeat=2):
+        if not act.leq[x, y]:
+            continue
+        assert act.good[x] or not act.good[y], (act.vecs[x], act.vecs[y])
+        for z in ids:
+            assert act.leq[act.mul[x, z], act.mul[y, z]], (act.vecs[x], act.vecs[y], act.vecs[z])
+            assert act.leq[act.mul[z, x], act.mul[z, y]], (act.vecs[x], act.vecs[y], act.vecs[z])
+        sx, sy = act.sharp[x], act.sharp[y]
+        if sx is not None and sy is not None:
+            assert act.leq[sx, sy], (act.vecs[x], act.vecs[y])
+        elif sy is not None:
+            assert "bot" in act.vecs[sy], (act.vecs[x], act.vecs[y])
+    # a frame holding bot on a counter is dead: it keeps bot there through
+    # every product on either side and through its sharp, so its closing
+    # passes bot down to the bottom
+    for x in ids:
+        holds_bot = [c for c, a in enumerate(act.vecs[x]) if a == "bot"]
+        for z in ids:
+            for y in (act.mul[x, z], act.mul[z, x]):
+                assert all(act.vecs[y][c] == "bot" for c in holds_bot), (act.vecs[x], act.vecs[z])
+        if act.sharp[x] is not None:
+            assert all(act.vecs[act.sharp[x]][c] == "bot" for c in holds_bot), act.vecs[x]
 
 
 def test_actions_that_are_not_good_form_a_right_ideal():
