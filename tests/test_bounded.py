@@ -354,7 +354,12 @@ def test_numbered_search_matches_whole_stack_search(aut):
     # the numbered search drops configurations that an admitted one covers
     # and frames that hold bot; the verdict and the breadth-first witness
     # stay those of the search over whole stacks
-    assert bounded_onthefly(aut) == stack_bfs_onthefly(aut)
+    try:
+        expected = stack_bfs_onthefly(aut)
+    except RuntimeError:  # the whole-stack search ran out of its budget
+        _assert_closure_agrees_and_witness_pumps(aut)
+    else:
+        assert bounded_onthefly(aut) == expected
 
 
 @pytest.mark.parametrize("counters", [1, 2])
