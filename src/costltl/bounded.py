@@ -14,15 +14,18 @@ With no counters the same closure is the transition semigroup of the
 automaton, and `language_recognizer` turns it into a recognizer of the regular
 language.
 
-A composed action is one semigroup element per counter. A run witnesses
-unboundedness when its action on every counter avoids cr, crw and bot: each
-counter is then either never checked or only checked after a stabilized block
-of increments, so pumping the cycles n times yields value at least n.
+A composed action is one semigroup element per counter. Both methods read
+the automaton alike. A loop's action is stabilized with omega-sharp, (x^omega)#
+on each counter. A run that reaches state q with action sigma witnesses
+unboundedness when sigma followed by some exit action of q avoids cr, crw
+and bot on every counter (`_accepts`): each counter is then either never
+checked or only checked after a stabilized block of increments, so pumping
+the cycles n times yields value at least n.
 
 Each call interns the composed actions it meets as small integers (`_Actions`)
 and drops the table when it returns: the product and order of two actions and
-the stabilizations and good test of one are then each a memoised lookup, not
-a walk over the counters.
+the omega-sharp and good test of one are then each a memoised lookup, not a
+walk over the counters.
 """
 
 from dataclasses import dataclass
@@ -37,8 +40,6 @@ from .semigroup import (StabSemigroup, Recognizer, ELetter, ECat, EOmegaSharp,
 from .translate import nltl_to_s
 
 GOOD = frozenset(("w", "i", "e", "r"))
-
-_ACCEPT = object()  # virtual target of exit edges
 
 MAX_ONTHEFLY_CONFIGS = 500000  # bounded_onthefly gives up past this many
 MAX_CLOSURE_ELEMENTS = 200000  # run_semigroup_closure gives up past this many
@@ -74,15 +75,13 @@ class _Actions:
     """The composed actions of one search, numbered 0, 1, ... as they are
     met. ids[vec] is the number of an action, vecs[i] the action numbered i,
     good[i] says whether it avoids cr, crw and bot on every counter and
-    live[i] whether it avoids bot. mul[i, j], sharp[i] (None when some
-    counter's action has no sharp), omega_sharp[i] and leq[i, j] are each
-    one dict lookup once computed."""
+    live[i] whether it avoids bot. mul[i, j], omega_sharp[i] and leq[i, j]
+    are each one dict lookup once computed."""
 
-    __slots__ = ("ids", "vecs", "good", "live", "mul", "leq", "sharp", "omega_sharp",
-                 "neutral")
+    __slots__ = ("ids", "vecs", "good", "live", "mul", "leq", "omega_sharp", "neutral")
 
     def __init__(self, counters):
-        vecs, good, live, sharp = [], [], [], S_ACTIONS.sharp
+        vecs, good, live = [], [], []
 
         def number(vec):
             vecs.append(vec)
@@ -96,8 +95,6 @@ class _Actions:
         self.vecs, self.good, self.live = vecs, good, live
         self.mul = _Memo(lambda ij: ids[vec_product(vecs[ij[0]], vecs[ij[1]])])
         self.leq = _Memo(lambda ij: vec_leq(vecs[ij[0]], vecs[ij[1]]))
-        self.sharp = _Memo(lambda i: ids[tuple(sharp[x] for x in vecs[i])]
-                           if all(x in sharp for x in vecs[i]) else None)
         self.omega_sharp = _Memo(lambda i: ids[
             tuple(omega_sharp(S_ACTIONS, x) for x in vecs[i])])
         self.neutral = ids[(S_ACTIONS.neutral,) * counters]
@@ -118,22 +115,27 @@ def _minimal(act, by_pair):
 
 
 def contracted_edges(aut, act):
-    """Letter transitions and accepting exits as (src, sigma, dst, letter)
-    edges, sigma an id of act.
-
-    Exit edges target the virtual accept sink. For each (src, dst) pair only
-    the minimal sigmas are kept; each edge remembers one representative
-    letter, or None for an exit.
-    """
+    """Letter transitions as (src, sigma, dst, letter) edges, sigma an id of
+    act. For each (src, dst) pair only the minimal sigmas are kept; each edge
+    remembers one representative letter."""
     by_pair = {}
     for src, a, actions, dst in aut.transitions:
         by_pair.setdefault((src, dst), {}).setdefault(act.ids[compose_actions(actions)], a)
-    for q, options in aut.exits.items():
-        for actions in options:
-            by_pair.setdefault((q, _ACCEPT), {}).setdefault(
-                act.ids[compose_actions(actions)], None)
     return [(src, sigma, dst, by_pair[(src, dst)][sigma])
             for src, sigma, dst in _minimal(act, by_pair)]
+
+
+def _exit_actions(aut, act):
+    """The composed exit actions of each state, as ids of act."""
+    return {q: [act.ids[compose_actions(actions)] for actions in options]
+            for q, options in aut.exits.items()}
+
+
+def _accepts(act, accept, sigma, q):
+    """sigma followed by one of the composed exit actions that accept lists
+    for q is good: a run reaching q with action sigma witnesses
+    unboundedness."""
+    return any(act.good[act.mul[sigma, x]] for x in accept.get(q, ()))
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,10 @@ def witness_word(script, n):
 def bounded_onthefly(aut):
     """Decide boundedness by a breadth-first search over memory
     configurations: stacks of (composed action, state) frames, at most
-    |counters| + 2 deep.
+    |counters| + 2 deep. Closing a cycle multiplies the frame below by the
+    omega-sharp of the top action. The goal is a depth-1 configuration that
+    `_accepts`, tested as it is admitted: the first goal admitted is the
+    first one the breadth-first order would expand.
 
     Configurations are numbered as they are admitted, and number k is stored
     once as (number of the configuration below, top action, state, depth),
@@ -163,13 +168,13 @@ def bounded_onthefly(aut):
     - its bottom action is not good: that action only ever gets multiplied
       on the right, and the actions that are not good form a right ideal;
     - its top action holds bot above depth 1: bot absorbs every product and
-      is its own sharp, so the frame would pass it down to the bottom;
+      is its own omega-sharp, so the frame would pass it down to the bottom.
+      This drops a cycle closed over a cr, which has no plain sharp;
     - one admitted with the same configuration below and the same state has
-      a top action <= its own (top-frame subsumption). Products are
-      monotone, the good actions are downward closed and sharp is monotone
-      on the idempotents, so the smaller action reaches whatever the larger
-      one reaches, with an action no worse. An action below a closable one
-      lacks a sharp only where the closable one holds bot, a dead frame.
+      a top action <= its own (top-frame subsumption). Products and
+      omega-sharp are monotone and the good actions are downward closed, so
+      the smaller action reaches whatever the larger one reaches, with an
+      action no worse.
 
     MAX_ONTHEFLY_CONFIGS bounds the number of admitted configurations."""
     if aut.kind != "S":
@@ -177,49 +182,47 @@ def bounded_onthefly(aut):
     if eval_s(aut, "") == INF:
         return BoundednessResult(False, ())
     act = _Actions(aut.counters)
-    good, live, start, mul, sharp, leq = (act.good, act.live, act.neutral, act.mul,
-                                          act.sharp, act.leq)
+    good, live, start, mul, omega_sharp, leq = (act.good, act.live, act.neutral, act.mul,
+                                                act.omega_sharp, act.leq)
     max_depth = aut.counters + 2 if aut.counters else 1  # no counter, no cycle to pump
     out = {}
     for src, sigma, dst, letter in contracted_edges(aut, act):
         out.setdefault(src, []).append((sigma, dst, letter))
+    accept = _exit_actions(aut, act)
 
     def step(top):
         """The frames one step leads to from a top frame, in edge order, each
-        with the letter of its first edge (None for an exit)."""
+        with the letter of its first edge."""
         frames = {}
         for sigma, dst, letter in out.get(top[1], ()):
             frames.setdefault((mul[top[0], sigma], dst), letter)
         return frames
 
     steps = _Memo(step)
-    # the action a closed cycle leaves on the frame below it, or None
-    closes = _Memo(lambda pair: None if sharp[pair[1]] is None
-                   else mul[pair[0], sharp[pair[1]]])
     configs = []  # number -> (below, top action, state, depth)
     parent = []  # number -> the number of the configuration first reaching it
     tops = {}  # (below, state) -> the top actions admitted over them
+    goal = None
     for q in aut.states:
         if q in aut.initial:
             configs.append((None, start, q, 1))
             parent.append(None)
             tops[None, q] = [start]
+            if goal is None and _accepts(act, accept, start, q):
+                goal = len(configs) - 1
     head = 0
-    goal = None
     while head < len(configs) and goal is None:
         if len(configs) > MAX_ONTHEFLY_CONFIGS:
             raise RuntimeError("on-the-fly search exceeded %d configurations"
                                % MAX_ONTHEFLY_CONFIGS)
         below, sigma_m, q_m, depth = configs[head]
         succs = [(below, sigma, q, depth) for sigma, q in steps[sigma_m, q_m]]
-        if depth < max_depth and q_m is not _ACCEPT:
+        if depth < max_depth:
             succs.append((head, start, q_m, depth + 1))  # open a cycle
         if depth > 1:
             lower, sigma_b, q_b, depth_b = configs[below]
-            if q_b == q_m:
-                merged = closes[sigma_b, sigma_m]
-                if merged is not None:
-                    succs.append((lower, merged, q_m, depth_b))  # close it
+            if q_b == q_m:  # close it
+                succs.append((lower, mul[sigma_b, omega_sharp[sigma_m]], q_m, depth_b))
         for nxt in succs:
             b, sigma, q, d = nxt
             if not (good[sigma] if d == 1 else live[sigma]):
@@ -233,7 +236,7 @@ def bounded_onthefly(aut):
                 admitted.append(sigma)
             parent.append(head)
             configs.append(nxt)
-            if d == 1 and q is _ACCEPT:
+            if d == 1 and _accepts(act, accept, sigma, q):
                 goal = len(configs) - 1
                 break
         head += 1
@@ -254,9 +257,7 @@ def bounded_onthefly(aut):
             body = stack.pop()
             stack[-1].append(EOmegaSharp(reduce(ECat, body)))
         else:
-            letter = steps[sigma_p, q_p][sigma_n, q_n]
-            if letter is not None:
-                stack[-1].append(ELetter(letter))
+            stack[-1].append(ELetter(steps[sigma_p, q_p][sigma_n, q_n]))
     assert len(stack) == 1
     return BoundednessResult(False, tuple(stack[0]))
 
@@ -300,10 +301,8 @@ def _elem_sharp(act, E):
 
 
 def _elem_unbounded(act, initial, accept, E):
-    """Some triple of E from an initial state, followed by one of the
-    composed exit actions that accept lists for its target, is good."""
-    return any(act.good[act.mul[sigma, x]]
-               for p, sigma, q in E if p in initial for x in accept.get(q, ()))
+    """Some triple of E from an initial state is accepted (`_accepts`)."""
+    return any(_accepts(act, accept, sigma, q) for p, sigma, q in E if p in initial)
 
 
 def _run_effects(aut, act, letters=()):
@@ -313,10 +312,7 @@ def _run_effects(aut, act, letters=()):
     triples = {a: set() for a in letters}
     for src, a, actions, dst in aut.transitions:
         triples.setdefault(a, set()).add((src, act.ids[compose_actions(actions)], dst))
-    images = {a: _minimal_triples(act, t) for a, t in triples.items()}
-    accept = {q: [act.ids[compose_actions(actions)] for actions in options]
-              for q, options in aut.exits.items()}
-    return images, accept
+    return {a: _minimal_triples(act, t) for a, t in triples.items()}, _exit_actions(aut, act)
 
 
 def _closure(act, images):

@@ -248,7 +248,9 @@ def build_parser():
         if out:
             p.add_argument("-o", dest="out", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a formula on a word")
+    p = sub.add_parser("eval", help="evaluate a formula on a word; a counter-free "
+                                    "formula is read as LTL<= (for its nLTL<= reading, "
+                                    "use compile-s --nltl and eval-aut)")
     common(p, formula=True, word=True)
     p.set_defaults(func=_cmd_eval)
 

@@ -27,10 +27,10 @@ class Node:
     """A formula node. Nodes are hash-consed: constructing one returns the
     live node with the same class and fields if there is one, so equal
     formulae are the same object and == and hash are O(1) identity tests.
-    Nodes are immutable. Each carries its size, and its sort key once asked
-    for. A subclass's __slots__ names its fields."""
+    Nodes are immutable. Each carries its size. A subclass's __slots__ names
+    its fields."""
 
-    __slots__ = ("__weakref__", "_size", "_sort_key")
+    __slots__ = ("__weakref__", "_size")
     atomic = False  # Atom and End: the letter tests
     reduced = False  # atomic or Next: untouched by the epsilon reductions
 
@@ -369,39 +369,3 @@ def dualize(node, alphabet):
             out = And(neg[n.right], ReleaseGeq(neg[n.left], neg[n.right]))
         neg[n] = out
     return neg[node]
-
-
-def sort_key(node):
-    """Key of the (size, render) order of nodes, a total order because
-    render is injective on interned nodes. The key is cached on the node: a
-    pair (size, tie) whose tie renders the node, once, only when two sizes
-    are equal, so a deep formula is not rendered at every level."""
-    try:
-        return node._sort_key
-    except AttributeError:
-        key = (node._size, _Rendering(node))
-        object.__setattr__(node, "_sort_key", key)
-        return key
-
-
-class _Rendering:
-    """The render of a node, computed on the first comparison. It is equal
-    only to itself, and a node has one key. It refers to its node weakly, as
-    the node holds it, and is compared only while the node lives."""
-
-    __slots__ = ("node", "text")
-
-    def __init__(self, node):
-        self.node = weakref.ref(node)
-        self.text = None
-
-    def _text(self):
-        if self.text is None:
-            self.text = render(self.node())
-        return self.text
-
-    def __lt__(self, other):
-        return self._text() < other._text()
-
-    def __gt__(self, other):
-        return self._text() > other._text()

@@ -9,13 +9,13 @@ and into per-state accepting exits. Both closures are one memoised walk,
 _fold, over the steps that one of the two tables gives.
 
 Each translation numbers its universe, the subformulae of its input and
-Next(psi) for each until-like subformula psi, once in sort_key order. A
+Next(psi) for each until-like subformula psi, once in (size, render) order. A
 pseudo-state is an int with bit i for the i-th node, so its largest member is
 its highest set bit; only reachable states become sets of formulae.
 """
 
 from .core import Alphabet
-from .formula import (END, And, Atom, Or, Next, Until, UntilLeq, ReleaseGeq, sort_key,
+from .formula import (END, And, Atom, Or, Next, Until, UntilLeq, ReleaseGeq, render, size,
                       subformulas)
 from .automata import CostAutomaton, _runs_value
 
@@ -94,7 +94,15 @@ class _Translation:
         self.k = len(index)
         universe = set(subs)
         universe.update(Next(s) for s in subs if type(s) in (Until, UntilLeq, ReleaseGeq))
-        self.nodes = nodes = sorted(universe, key=sort_key)
+        # (size, render) order, a total order as render is injective on
+        # interned nodes; only nodes of equal size are rendered, so a deep
+        # chain, one node per size, never is
+        by_size = {}
+        for f in universe:
+            by_size.setdefault(size(f), []).append(f)
+        self.nodes = nodes = []
+        for n in sorted(by_size):
+            nodes += sorted(by_size[n], key=render) if len(by_size[n]) > 1 else by_size[n]
         bit = {f: 1 << i for i, f in enumerate(nodes)}
 
         def mask(members):

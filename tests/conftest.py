@@ -8,8 +8,9 @@ import pytest
 
 from costltl import (INF, Alphabet, achievable_values, eval_s, models, parse, recognize,
                      words_upto)
-from costltl.bounded import (_ACCEPT, MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions,
-                             _Memo, contracted_edges)
+from costltl.actions import S_ACTIONS
+from costltl.bounded import (MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions, _Memo, _minimal,
+                             compose_actions, contracted_edges)
 from costltl.semigroup import ECat, ELetter, EOmegaSharp
 
 AB = Alphabet("ab")
@@ -294,9 +295,14 @@ def scan_sem_sup(phi, u):
 # ---------------------------------------------------------------------------
 # Boundedness by a search that stores each configuration as its whole stack,
 # flat as (sigma0, q0, sigma1, q1, ...), and prunes only the configurations
-# whose bottom action is not good: the oracle for the numbered configurations
-# and top-frame subsumption of costltl.bounded.bounded_onthefly, whose
-# verdicts and witness scripts it must reproduce.
+# whose bottom action is not good: the oracle for the numbered configurations,
+# top-frame subsumption and acceptance test of
+# costltl.bounded.bounded_onthefly, whose verdicts and witness scripts it must
+# reproduce. It keeps its own model of the automaton: exits are edges with no
+# letter into a virtual accept sink, and a cycle closes only when its action
+# has a plain sharp on every counter.
+
+_ACCEPT = object()  # virtual target of exit edges
 
 
 def stack_bfs_onthefly(aut):
@@ -305,11 +311,18 @@ def stack_bfs_onthefly(aut):
     if eval_s(aut, "") == INF:
         return BoundednessResult(False, ())
     act = _Actions(aut.counters)
-    good, start, mul, sharp = act.good, act.neutral, act.mul, act.sharp
+    good, start, mul = act.good, act.neutral, act.mul
+    plain = S_ACTIONS.sharp
+    sharp = _Memo(lambda i: act.ids[tuple(plain[x] for x in act.vecs[i])]
+                  if all(x in plain for x in act.vecs[i]) else None)
     max_len = 2 * (aut.counters + 2)
     out = {}
     for src, sigma, dst, letter in contracted_edges(aut, act):
         out.setdefault(src, []).append((sigma, dst, letter))
+    exits = {(q, _ACCEPT): {act.ids[compose_actions(actions)]: None for actions in options}
+             for q, options in aut.exits.items()}
+    for src, sigma, dst in _minimal(act, exits):
+        out.setdefault(src, []).append((sigma, dst, None))
 
     def step(top):
         frames = {}

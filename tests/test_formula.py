@@ -26,7 +26,7 @@ from costltl import (
     sem_inf,
     sem_sup,
 )
-from costltl.formula import size, sort_key, subformulas
+from costltl.formula import size, subformulas
 from conftest import AB, CORPUS_TEXTS, all_words, corpus
 
 
@@ -144,21 +144,6 @@ def test_parse_constructors_and_dualize_share_nodes():
     assert dualize(parse("X a", AB), AB) is parse("X !a | END", AB)
     for phi in corpus():
         assert dualize(phi, AB) is dualize(_rebuilt(phi), AB)
-
-
-def test_sort_key_is_size_then_render():
-    # the translation picks and sorts members by this order; keys render
-    # lazily, but the order must stay the one of (size, render)
-    nodes = [n for phi in corpus() for n in subformulas(phi)]
-    nodes += [n for phi in corpus() for n in subformulas(dualize(phi, AB))]
-
-    def plain(n):
-        return size(n), render(n)
-
-    assert sorted(nodes, key=sort_key) == sorted(nodes, key=plain)
-    assert sorted(nodes, key=sort_key, reverse=True) == sorted(nodes, key=plain, reverse=True)
-    assert max(nodes, key=sort_key) is max(nodes, key=plain)
-    assert min(nodes, key=sort_key) is min(nodes, key=plain)
 
 
 def test_nodes_are_immutable():

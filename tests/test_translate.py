@@ -28,8 +28,19 @@ from costltl import (
     sem_sup,
     validate,
 )
-from costltl.formula import subformulas
+from costltl.formula import size, subformulas
+from costltl.translate import _Translation
 from conftest import AB, all_words, corpus
+
+
+def test_universe_is_numbered_in_size_then_render_order():
+    # bit i of a pseudo-state stands for the i-th node, so the compiled
+    # output depends on this order; render breaks only ties in size
+    for phi in corpus():
+        for f, polarity in ((phi, "B"), (dualize(phi, AB), "S")):
+            nodes = _Translation(f, subformulas(f), AB, polarity).nodes
+            assert len(set(nodes)) == len(nodes), render(f)
+            assert nodes == sorted(nodes, key=lambda n: (size(n), render(n))), render(f)
 
 
 def test_inf_side_exact_on_sample():
