@@ -6,10 +6,12 @@ state) frames; closing a cycle stabilizes its composed action. It admits
 each configuration once, under a number, and drops those that cannot reach
 the goal or that a sibling with a smaller top action covers. When the
 function is unbounded it returns a witness script: a tuple of sharp-expression
-factors, one letter per step and one omega-sharp per closed cycle. The
-closure method builds the reachable part of the run semigroup: elements are
-sets of (source, composed action, target) triples closed toward worse actions
-and stored as minimal antichains, combined by product and stabilization.
+factors, one letter per step and one omega-sharp per closed cycle. Both
+methods search only words with a letter: eval_s(aut, "") alone values the
+empty word, and the script () means that value is INF. The closure method
+builds the reachable part of the run semigroup: elements are sets of
+(source, composed action, target) triples closed toward worse actions and
+stored as minimal antichains, combined by product and stabilization.
 With no counters the same closure is the transition semigroup of the
 automaton, and `language_recognizer` turns it into a recognizer of the regular
 language.
@@ -142,8 +144,8 @@ def _accepts(act, accept, sigma, q):
 class BoundednessResult:
     bounded: bool
     # witness script when unbounded: tuple of sharp-expression factors,
-    # ELetter for a step and EOmegaSharp for a closed cycle, () for the empty
-    # word; None when bounded
+    # ELetter for a step and EOmegaSharp for a closed cycle, () when the
+    # empty word has value INF; None when bounded
     script: tuple = None
 
 
@@ -155,10 +157,12 @@ def witness_word(script, n):
 def bounded_onthefly(aut):
     """Decide boundedness by a breadth-first search over memory
     configurations: stacks of (composed action, state) frames, at most
-    |counters| + 2 deep. Closing a cycle multiplies the frame below by the
-    omega-sharp of the top action. The goal is a depth-1 configuration that
-    `_accepts`, tested as it is admitted: the first goal admitted is the
-    first one the breadth-first order would expand.
+    |counters| + 2 deep, reached by words with a letter; the script () comes
+    only from eval_s(aut, "") == INF. Only a cycle that read a letter closes
+    (an empty one re-derives the frame below, or over an initial one the
+    empty word), by multiplying the frame below by its omega-sharp. The goal,
+    a depth-1 configuration that `_accepts`, is tested before any pruning:
+    the first goal met is the first one the breadth-first order would expand.
 
     Configurations are numbered as they are admitted, and number k is stored
     once as (number of the configuration below, top action, state, depth),
@@ -174,7 +178,9 @@ def bounded_onthefly(aut):
       a top action <= its own (top-frame subsumption). Products and
       omega-sharp are monotone and the good actions are downward closed, so
       the smaller action reaches whatever the larger one reaches, with an
-      action no worse.
+      action no worse. An initial configuration also covers words back at
+      its state with an action >= e: they are tested as goals first, and a
+      cycle with such an action closes no better than one pass through it.
 
     MAX_ONTHEFLY_CONFIGS bounds the number of admitted configurations."""
     if aut.kind != "S":
@@ -208,8 +214,6 @@ def bounded_onthefly(aut):
             configs.append((None, start, q, 1))
             parent.append(None)
             tops[None, q] = [start]
-            if goal is None and _accepts(act, accept, start, q):
-                goal = len(configs) - 1
     head = 0
     while head < len(configs) and goal is None:
         if len(configs) > MAX_ONTHEFLY_CONFIGS:
@@ -221,14 +225,16 @@ def bounded_onthefly(aut):
             succs.append((head, start, q_m, depth + 1))  # open a cycle
         if depth > 1:
             lower, sigma_b, q_b, depth_b = configs[below]
-            if q_b == q_m:  # close it
+            if q_b == q_m and parent[head] != below:  # close it, if it read a letter
                 succs.append((lower, mul[sigma_b, omega_sharp[sigma_m]], q_m, depth_b))
         for nxt in succs:
             b, sigma, q, d = nxt
             if not (good[sigma] if d == 1 else live[sigma]):
                 continue
             admitted = tops.get((b, q))
-            if admitted is None:
+            if d == 1 and _accepts(act, accept, sigma, q):
+                goal = len(configs)
+            elif admitted is None:
                 tops[b, q] = [sigma]
             elif sigma in admitted or any(leq[x, sigma] for x in admitted):
                 continue
@@ -236,8 +242,7 @@ def bounded_onthefly(aut):
                 admitted.append(sigma)
             parent.append(head)
             configs.append(nxt)
-            if d == 1 and _accepts(act, accept, sigma, q):
-                goal = len(configs) - 1
+            if goal is not None:
                 break
         head += 1
     if goal is None:

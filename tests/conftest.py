@@ -300,7 +300,9 @@ def scan_sem_sup(phi, u):
 # costltl.bounded.bounded_onthefly, whose verdicts and witness scripts it must
 # reproduce. It keeps its own model of the automaton: exits are edges with no
 # letter into a virtual accept sink, and a cycle closes only when its action
-# has a plain sharp on every counter.
+# has a plain sharp on every counter. The empty word is eval_s's alone: a
+# configuration that has read no letter is keyed apart from an equal stack
+# reached by letters, and takes no exit edge.
 
 _ACCEPT = object()  # virtual target of exit edges
 
@@ -331,31 +333,33 @@ def stack_bfs_onthefly(aut):
         return frames
 
     steps = _Memo(step)
-    parent = {}
+    parent = {}  # (stack, read a letter) -> the key first reaching it
     queue = []
     for q in aut.states:
         if q in aut.initial:
-            parent[(start, q)] = None
-            queue.append((start, q))
+            parent[(start, q), False] = None
+            queue.append(((start, q), False))
     head = 0
     goal = None
     while head < len(queue) and goal is None:
         if len(parent) > MAX_ONTHEFLY_CONFIGS:
             raise RuntimeError("on-the-fly search exceeded %d configurations"
                                % MAX_ONTHEFLY_CONFIGS)
-        config = queue[head]
+        key = queue[head]
+        config, read = key
         head += 1
         below, top = config[:-2], config[-2:]
         sigma_m, q_m = top
-        succs = [below + frame for frame in steps[top]]
+        succs = [(below + frame, True) for frame, letter in steps[top].items()
+                 if read or letter is not None]
         if aut.counters and len(config) < max_len and q_m is not _ACCEPT:
-            succs.append(config + (start, q_m))
+            succs.append((config + (start, q_m), read))
         if len(config) >= 4 and q_m == config[-3] and sharp[sigma_m] is not None:
-            succs.append(below[:-2] + (mul[config[-4], sharp[sigma_m]], q_m))
+            succs.append((below[:-2] + (mul[config[-4], sharp[sigma_m]], q_m), read))
         for nxt in succs:
-            if good[nxt[0]] and nxt not in parent:
-                parent[nxt] = config
-                if len(nxt) == 2 and nxt[1] is _ACCEPT:
+            if good[nxt[0][0]] and nxt not in parent:
+                parent[nxt] = key
+                if len(nxt[0]) == 2 and nxt[0][1] is _ACCEPT:
                     goal = nxt
                     break
                 queue.append(nxt)
@@ -366,7 +370,7 @@ def stack_bfs_onthefly(aut):
         path.append(parent[path[-1]])
     path.reverse()
     stack = [[]]
-    for prev, nxt in zip(path, path[1:]):
+    for (prev, _), (nxt, _) in zip(path, path[1:]):
         if len(nxt) > len(prev):
             stack.append([])
         elif len(nxt) < len(prev):

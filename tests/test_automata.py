@@ -47,6 +47,7 @@ FIXTURE_AUTOMATA = [
     "min-block-b.aut",
     "count-letter-s.aut",
     "blocks-s.aut",
+    "epsilon-s.aut",
 ]
 
 

@@ -220,11 +220,37 @@ def test_empty_word_checked_by_its_exit_is_bounded():
     assert bounded_onthefly(aut) == bounded_closure(aut) == BoundednessResult(True, None)
 
 
+def _epsilon_automaton(loop):
+    # fixtures/epsilon-s.aut with its cr loop on a replaced: one state, exit
+    # e and an epsilon line of 3, which alone values the empty word
+    with open(fixture("epsilon-s.aut"), encoding="utf-8") as fh:
+        return loads_automaton(fh.read().replace("trans q a q : cr", "trans q a q : " + loop))
+
+
+@pytest.mark.parametrize("loop, witness", [("cr", None), ("r", "a"), ("i", "a"), ("-", "a")])
+def test_epsilon_line_alone_decides_the_empty_word(loop, witness):
+    # the exit of the initial state checks nothing, so the empty word would
+    # witness unboundedness if a search valued it by the exit; only words
+    # with a letter are searched
+    aut = _epsilon_automaton(loop)
+    assert eval_s(aut, "") == 3
+    result = bounded_onthefly(aut)
+    assert (None if result.bounded else _rendered(result.script)) == witness
+    assert bounded_closure(aut).bounded == result.bounded
+    assert stack_bfs_onthefly(aut) == result
+    if witness is None:
+        assert all(eval_s(aut, "a" * n) == 0 for n in range(1, 6))
+    else:
+        for n in (1, 2, 3):
+            assert eval_s(aut, witness_word(result.script, n)) >= n, n
+
+
 @st.composite
 def _s_automata(draw, counters, max_states=3, max_transitions=6, max_tokens=3):
     """S-automata over {a, b} with 1 to max_states states, the given number
-    of counters, sequences of every S token, and 1-2 exit options on each
-    final state."""
+    of counters, sequences of every S token, 1-2 exit options on each final
+    state, and perhaps an epsilon value that overrides the exits on the
+    empty word."""
     states = tuple("q%d" % i for i in range(draw(st.integers(1, max_states))))
     state = st.sampled_from(states)
     sequence = st.lists(st.sampled_from(S_TOKENS), max_size=max_tokens).map(tuple)
@@ -240,6 +266,7 @@ def _s_automata(draw, counters, max_states=3, max_transitions=6, max_tokens=3):
         transitions=tuple(draw(st.lists(st.tuples(state, st.sampled_from("ab"), actions, state),
                                         min_size=1, max_size=max_transitions))),
         exits={q: tuple(draw(st.lists(actions, min_size=1, max_size=2))) for q in sorted(final)},
+        epsilon_value=draw(st.sampled_from((None, 0, 1, 3, INF))),
     )
 
 
