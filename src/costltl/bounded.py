@@ -33,10 +33,10 @@ walk over the counters.
 from dataclasses import dataclass
 from functools import partial, reduce
 
-from .core import INF, Alphabet, saturate
+from .core import INF, saturate
 from .actions import S_ACTIONS, vec_product, vec_leq
 from .automata import S_TOKENS, eval_s
-from .formula import is_ltl, is_nltl, dualize
+from .formula import is_ltl, dualize
 from .semigroup import (StabSemigroup, Recognizer, ELetter, ECat, EOmegaSharp,
                         omega_sharp, instantiate)
 from .translate import nltl_to_s
@@ -380,20 +380,15 @@ def bounded_closure(aut):
     return BoundednessResult(not unbounded, None)
 
 
-def bounded_formula(phi, alphabet, method="onthefly"):
-    """Boundedness of the cost function of a formula.
+def formula_automaton(phi, alphabet):
+    """The S-automaton on which the boundedness of a formula is decided.
 
     An inf-semantics formula is dualized first; boundedness is invariant under
     the off-by-one of dualization.
     """
-    alphabet = Alphabet(alphabet)
-    if is_ltl(phi):
-        phi = dualize(phi, alphabet)
-    elif not is_nltl(phi):
-        raise ValueError("formula mixes both bounded-operator kinds")
-    aut = nltl_to_s(phi, alphabet)
-    if method == "onthefly":
-        return bounded_onthefly(aut)
-    if method == "closure":
-        return bounded_closure(aut)
-    raise ValueError("unknown method %r" % (method,))
+    return nltl_to_s(dualize(phi, alphabet) if is_ltl(phi) else phi, alphabet)
+
+
+def bounded_formula(phi, alphabet):
+    """Boundedness of the cost function of a formula, on the fly."""
+    return bounded_onthefly(formula_automaton(phi, alphabet))

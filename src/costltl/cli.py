@@ -31,7 +31,8 @@ from .semigroup import (
     save_semigroup,
 )
 from .minimize import syntactic_quotient, is_aperiodic, is_ltl_definable
-from .bounded import bounded_formula, witness_word, language_recognizer
+from .bounded import (formula_automaton, bounded_formula, bounded_onthefly,
+                      bounded_closure, witness_word, language_recognizer)
 
 
 def _fmt(value):
@@ -91,12 +92,15 @@ def _cmd_compile_s(args):
 
 
 def _cmd_bounded(args):
-    phi, alphabet = _parse_formula(args)
+    if args.automaton is not None:
+        aut = load_automaton(args.automaton)
+    else:
+        aut = formula_automaton(*_parse_formula(args))
     results = []
     if args.method in ("onthefly", "both"):
-        results.append(bounded_formula(phi, alphabet, "onthefly"))
+        results.append(bounded_onthefly(aut))
     if args.method in ("closure", "both"):
-        results.append(bounded_formula(phi, alphabet, "closure"))
+        results.append(bounded_closure(aut))
     if len({r.bounded for r in results}) != 1:
         raise ValueError("methods disagree on boundedness")
     result = results[0]
@@ -234,17 +238,19 @@ def build_parser():
 
     def common(p, formula=False, word=False, automaton=False, semigroup=False,
                out=False):
+        # of two sources a subcommand takes exactly one, which main checks
+        one = formula + automaton + semigroup < 2
         p.add_argument("--porcelain", action="store_true",
                        help="stable machine-readable output only")
         if formula:
-            p.add_argument("-f", dest="formula", required=True)
+            p.add_argument("-f", dest="formula", required=one)
             p.add_argument("--alphabet")
         if word:
             p.add_argument("-w", dest="word", required=True)
         if automaton:
-            p.add_argument("-a", dest="automaton", required=True)
+            p.add_argument("-a", dest="automaton", required=one)
         if semigroup:
-            p.add_argument("-s", dest="semigroup", required=True)
+            p.add_argument("-s", dest="semigroup", required=one)
         if out:
             p.add_argument("-o", dest="out", required=True)
 
@@ -271,8 +277,8 @@ def build_parser():
                    help="input is already an nLTL<= formula")
     p.set_defaults(func=_cmd_compile_s)
 
-    p = sub.add_parser("bounded", help="decide boundedness of a formula")
-    common(p, formula=True)
+    p = sub.add_parser("bounded", help="decide boundedness of a formula or S-automaton")
+    common(p, formula=True, automaton=True)
     p.add_argument("--method", choices=("onthefly", "closure", "both"),
                    default="onthefly")
     p.set_defaults(func=_cmd_bounded)
@@ -300,10 +306,7 @@ def build_parser():
     p.set_defaults(func=_cmd_aperiodic)
 
     p = sub.add_parser("definable", help="decide LTL<=-definability")
-    p.add_argument("--porcelain", action="store_true")
-    p.add_argument("-s", dest="semigroup")
-    p.add_argument("-f", dest="formula")
-    p.add_argument("--alphabet")
+    common(p, formula=True, semigroup=True)
     p.set_defaults(func=_cmd_definable)
 
     p = sub.add_parser("corpus", help="validate a directory of fixture files")
@@ -317,8 +320,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "definable" and (args.semigroup is None) == (args.formula is None):
-        parser.error("definable needs exactly one of -s or -f")
+    other = {"definable": "semigroup", "bounded": "automaton"}.get(args.command)
+    if other and (getattr(args, other) is None) == (args.formula is None):
+        parser.error("%s needs exactly one of -%s or -f" % (args.command, other[0]))
     try:
         return args.func(args)
     except (ValueError, ParseError, OSError, RuntimeError) as exc:

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from costltl import eval_b, load_automaton, load_semigroup, parse_expr, render_expr
+from costltl import (BoundednessResult, bounded_closure, eval_b, load_automaton, load_semigroup,
+                     nltl_to_s, parse_expr, render_expr)
 from costltl.cli import main
 from conftest import FIXTURES, fixture
 
@@ -101,6 +102,54 @@ def test_bounded_verdicts_and_exit_codes(capsys):
                            "-f", formula, "--method", "both")
         assert code == 1
         assert out.splitlines() == ["unbounded", "witness family: " + witness]
+
+
+@pytest.mark.parametrize("name, lines, code", [
+    ("epsilon-s.aut", ["bounded"], 0),
+    ("count-letter-s.aut", ["unbounded", "witness family: a^wsa (pump 3: aaaa)"], 1),
+])
+def test_bounded_decides_an_automaton_file(capsys, name, lines, code):
+    assert run(capsys, "bounded", "--porcelain", "--method", "both",
+               "-a", fixture(name)) == (code, lines[0] + "\n", "")
+    assert run(capsys, "bounded", "--method", "both",
+               "-a", fixture(name)) == (code, "\n".join(lines) + "\n", "")
+
+
+def test_bounded_refuses_a_b_automaton_and_a_malformed_file(capsys, tmp_path):
+    for method in ("onthefly", "closure", "both"):
+        code, out, err = run(capsys, "bounded", "--method", method,
+                             "-a", fixture("count-letter-b.aut"))
+        assert code == 2 and out == ""
+        assert "boundedness is decided on S-automata" in err
+    with open(fixture("epsilon-s.aut"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "trans q a q : cr\n" in text
+    path = tmp_path / "bad.aut"
+    path.write_text(text.replace("trans q a q : cr\n", "trans q a q cr\n"), encoding="utf-8")
+    code, out, err = run(capsys, "bounded", "-a", str(path))
+    assert (code, out, err) == (2, "", "error: bad transition 'q a q cr'\n")
+
+
+def test_methods_that_disagree_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("costltl.cli.bounded_closure",
+                        lambda aut: BoundednessResult(not bounded_closure(aut).bounded, None))
+    for source in (["-a", fixture("epsilon-s.aut")], ["--alphabet", "ab", "-f", "!a U# END"]):
+        code, out, err = run(capsys, "bounded", "--method", "both", *source)
+        assert code == 2 and out == ""
+        assert err == "error: methods disagree on boundedness\n"
+
+
+def test_both_methods_translate_the_formula_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(phi, alphabet):
+        calls.append(phi)
+        return nltl_to_s(phi, alphabet)
+
+    monkeypatch.setattr("costltl.bounded.nltl_to_s", counted)
+    code, out, _ = run(capsys, "bounded", "--porcelain", "--method", "both",
+                       "--alphabet", "ab", "-f", "!a U# END")
+    assert (code, out, len(calls)) == (1, "unbounded\n", 1)
 
 
 def test_error_exit_code(capsys):
@@ -219,13 +268,19 @@ def test_recognize_needs_recognizer_block(capsys):
     assert err.splitlines()[0].endswith("has no recognizer block (h/ideal)")
 
 
-@pytest.mark.parametrize("argv", [["-s", fixture("counting.sg"), "--alphabet", "ab",
-                                   "-f", "G b"], []], ids=["both", "neither"])
-def test_definable_needs_exactly_one_source(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["definable", "-s", fixture("counting.sg"), "--alphabet", "ab", "-f", "G b"],
+     "definable needs exactly one of -s or -f"),
+    (["definable"], "definable needs exactly one of -s or -f"),
+    (["bounded", "-a", fixture("epsilon-s.aut"), "--alphabet", "ab", "-f", "a"],
+     "bounded needs exactly one of -a or -f"),
+    (["bounded", "--method", "both"], "bounded needs exactly one of -a or -f"),
+], ids=["both", "neither", "bounded-both", "bounded-neither"])
+def test_definable_needs_exactly_one_source(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main(["definable"] + argv)
+        main(argv)
     assert exc.value.code == 2
-    assert "definable needs exactly one of -s or -f" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_definable_from_counterfree_formula(capsys):
