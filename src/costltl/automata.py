@@ -51,6 +51,8 @@ def validate(aut):
     tokens = B_TOKENS if aut.kind == "B" else S_TOKENS
     if aut.kind not in ("B", "S"):
         diags.append("unknown kind %r" % (aut.kind,))
+    if aut.counters < 0:
+        diags.append("negative number of counters %d" % aut.counters)
     if len(states) != len(aut.states):
         diags.append("repeated state %r"
                      % next(q for q in aut.states if aut.states.count(q) > 1))

@@ -11,10 +11,10 @@ methods search only words with a letter: eval_s(aut, "") alone values the
 empty word, and the script () means that value is INF. The closure method
 builds the reachable part of the run semigroup: elements are sets of
 (source, composed action, target) triples closed toward worse actions and
-stored as minimal antichains, combined by product and stabilization.
-With no counters the same closure is the transition semigroup of the
-automaton, and `language_recognizer` turns it into a recognizer of the regular
-language.
+stored as minimal antichains, combined by product. An idempotent E stabilizes
+to E·L·E, where L holds E's loops (q, x, q) with x stabilized. With no
+counters the same closure is the transition semigroup of the automaton, and
+`language_recognizer` turns it into a recognizer of the regular language.
 
 A composed action is one semigroup element per counter. Both methods read
 the automaton alike. A loop's action is stabilized with omega-sharp, (x^omega)#
@@ -292,17 +292,10 @@ def _elem_product(act, E, F):
 
 
 def _elem_sharp(act, E):
-    """Stabilization of an idempotent element: runs through a pumped loop,
-    each counter's loop action stabilized as (x^omega)#."""
-    loops = {}
-    for q, sigma, q2 in E:
-        if q == q2:
-            loops.setdefault(q, []).append(act.omega_sharp[sigma])
-    mul = act.mul
-    return _minimal_triples(act, {(p, mul[mul[sigma1, se], sigma2], r)
-                                  for p, sigma1, q in E
-                                  for se in loops.get(q, ())
-                                  for q2, sigma2, r in E if q2 == q})
+    """Stabilization E·L·E of an idempotent element, where L holds E's loops
+    (q, sigma, q) with each counter's action stabilized as (x^omega)#."""
+    loops = frozenset((q, act.omega_sharp[sigma], q) for q, sigma, q2 in E if q == q2)
+    return _elem_product(act, _elem_product(act, E, loops), E)
 
 
 def _elem_unbounded(act, initial, accept, E):

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .core import INF, Alphabet, read_lines
-from .formula import parse, render, dualize, is_ltl, is_nltl, ParseError
+from .formula import parse, render, dualize, is_ltl, is_nltl
 from .semantics import sem_inf, sem_sup
 from .automata import (
     eval_b,
@@ -219,7 +219,7 @@ def _cmd_corpus(args):
             else:
                 continue
             rows.append((name, "ok", detail))
-        except (ValueError, ParseError, OSError) as exc:
+        except (ValueError, OSError, RuntimeError) as exc:
             rows.append((name, "fail", str(exc)))
             failed = True
     width = max([len(r[0]) for r in rows], default=0)
@@ -325,7 +325,7 @@ def main(argv=None):
         parser.error("%s needs exactly one of -%s or -f" % (args.command, other[0]))
     try:
         return args.func(args)
-    except (ValueError, ParseError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ from costltl import (INF, Alphabet, achievable_values, eval_s, models, parse, re
                      words_upto)
 from costltl.actions import S_ACTIONS
 from costltl.bounded import (MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions, _Memo, _minimal,
-                             compose_actions, contracted_edges)
+                             _minimal_triples, compose_actions, contracted_edges)
 from costltl.semigroup import ECat, ELetter, EOmegaSharp
 
 AB = Alphabet("ab")
@@ -381,3 +381,25 @@ def stack_bfs_onthefly(aut):
             if letter is not None:
                 stack[-1].append(ELetter(letter))
     return BoundednessResult(False, tuple(stack[0]))
+
+
+# ---------------------------------------------------------------------------
+# Stabilization of a run-semigroup element in one shot: every run p -> q -> r
+# of E through a pumped loop at q, composed per triple. The oracle for
+# costltl.bounded._elem_sharp, which builds the same antichain as the product
+# E·L·E of interned elements.
+
+
+def one_shot_elem_sharp(act, E):
+    """The minimal triples (p, sigma1·(sigma_loop^omega)#·sigma2, r) over
+    (p, sigma1, q) and (q, sigma2, r) in E and each loop (q, sigma_loop, q)
+    of E."""
+    loops = {}
+    for q, sigma, q2 in E:
+        if q == q2:
+            loops.setdefault(q, []).append(act.omega_sharp[sigma])
+    mul = act.mul
+    return _minimal_triples(act, {(p, mul[mul[sigma1, se], sigma2], r)
+                                  for p, sigma1, q in E
+                                  for se in loops.get(q, ())
+                                  for q2, sigma2, r in E if q2 == q})

@@ -274,6 +274,9 @@ def test_loads_rejects_malformed_input():
         loads_automaton("not a header\n")
     with pytest.raises(ValueError):
         loads_automaton("costltl-format 1\nsemigroup\n")
+    with pytest.raises(ValueError, match="negative number of counters -1"):
+        loads_automaton("costltl-format 1\nautomaton\nkind S\nalphabet ab\nstates q\n"
+                        "initial q\nfinal\ncounters -1\n")
 
 
 @pytest.mark.parametrize("name, extra, message", [
@@ -305,6 +308,11 @@ def test_loads_rejects_malformed_input():
     pytest.param("count-letter-s.aut", ("trans q0 a q0 : i", "trans q0 a : i"),
                  "bad transition 'q0 a : i'", id="count-letter-s.aut-bad transition"),
     ("count-letter-s.aut", "exit q0 : cr", "exit on non-final state 'q0'"),
+    pytest.param("counting.sg", ("product b : bot a b", "product b : bot a"),
+                 "bad product row 'b : bot a'", id="counting.sg-short product row"),
+    pytest.param("counting.sg", ("ideal bot", "# no ideal line"),
+                 "recognizer block needs both h and ideal", id="counting.sg-h without ideal"),
+    ("counting.sg", "sharp a bot b", "bad sharp line 'a bot b'"),
 ])
 def test_loaders_reject_unknown_and_repeated_fields(name, extra, message):
     with open(fixture(name), encoding="utf-8") as fh:

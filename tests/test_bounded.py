@@ -30,9 +30,11 @@ from costltl import (
 )
 from costltl.automata import S_TOKENS
 from costltl.actions import S_ACTIONS, S_ELEMS
-from costltl.bounded import (GOOD, MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions,
+from costltl.bounded import (GOOD, MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions, _closure,
+                             _elem_product, _elem_sharp, _elem_unbounded, _run_effects,
                              compose_actions, run_semigroup_closure)
-from conftest import AB, EXIT_ON_EMPTY_WORD, corpus, fixture, stack_bfs_onthefly
+from conftest import (AB, EXIT_ON_EMPTY_WORD, corpus, fixture, one_shot_elem_sharp,
+                      stack_bfs_onthefly)
 from test_translate import _criterion9_distinct
 
 
@@ -432,6 +434,34 @@ def test_actions_that_are_not_good_form_a_right_ideal():
     for x in bad:
         for y in S_ELEMS:
             assert S_ACTIONS.mul(x, y) not in GOOD, (x, y)
+
+
+def _assert_sharp_matches_one_shot(aut):
+    # each idempotent of the closure, up to the first element that
+    # witnesses unboundedness (where run_semigroup_closure stops), stabilizes
+    # by E·L·E to the very antichain of the one-shot formula
+    act = _Actions(aut.counters)
+    images, accept = _run_effects(aut, act)
+    for E in _closure(act, images):
+        if _elem_product(act, E, E) == E:
+            assert _elem_sharp(act, E) == one_shot_elem_sharp(act, E), sorted(E)
+        if _elem_unbounded(act, aut.initial, accept, E):
+            break
+
+
+@pytest.mark.parametrize("formulas", [
+    pytest.param(corpus, id="corpus"),
+    pytest.param(lambda: _criterion9_distinct(60), id="criterion9"),
+])
+def test_stabilization_matches_one_shot_formula(formulas):
+    for phi in formulas():
+        _assert_sharp_matches_one_shot(nltl_to_s(dualize(phi, AB), AB))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 3)).flatmap(_s_automata))
+def test_stabilization_matches_one_shot_formula_on_random_automata(aut):
+    _assert_sharp_matches_one_shot(aut)
 
 
 def _two_loop_automaton(declared):

@@ -212,6 +212,30 @@ def test_compile_s_rejects_wrong_fragment(capsys, tmp_path, argv, message):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["eval", "--alphabet", "ab", "-f", text, "-w", "a"], message, id=text)
+    for text, message in [
+        ("a U", "unexpected end of input (at position 3)"),
+        ("Foo", "unknown token 'Foo' (at position 0)"),
+        ("a $ b", "unexpected character '$' (at position 2)"),
+        ("!(a)", "! applies to atoms only (at position 1)"),
+        ("(a b", "expected ), got atom (at position 3)"),
+        ("a)", "trailing input (at position 1)"),
+        (")", "unexpected token ) (at position 0)"),
+    ]] + [
+    pytest.param(["semigroup", "classify", "-s", fixture("counting.sg"), "c"],
+                 "letter 'c' has no image", id="classify-unmapped letter"),
+    pytest.param(["semigroup", "classify", "-s", fixture("parity.sg"), "a^#"],
+                 "not well-formed: sharp applied to non-idempotent a",
+                 id="classify-sharp of non-idempotent"),
+    pytest.param(["definable", "--alphabet", "ab", "-f", "a R# b"],
+                 "definability from a formula expects LTL<=", id="definable-nLTL formula"),
+])
+def test_malformed_input_exits_2_with_its_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_formula_needs_alphabet(capsys):
     code, out, err = run(capsys, "eval", "-f", "a", "-w", "a")
     assert code == 2 and out == ""
@@ -249,6 +273,8 @@ def test_minimize_aperiodic_definable(capsys, tmp_path):
     assert code == 0
     sg, rec = load_semigroup(out_path)
     assert len(sg.elements) == 4
+    code, out, _ = run(capsys, "minimize", "-s", fixture("parity.sg"), "-o", out_path)
+    assert (code, out) == (0, "wrote %s (4 classes from 4 elements)\n" % out_path)
 
     code, out, _ = run(capsys, "aperiodic", "-s", fixture("counting.sg"))
     assert code == 0 and out.startswith("aperiodic")
@@ -307,6 +333,18 @@ def test_corpus_reports_formula_file_without_alphabet(capsys, tmp_path):
     assert code == 1
     assert out.splitlines()[0].split(None, 2) == [
         "noalpha.ltl", "fail", "formula file must start with 'alphabet <letters>'"]
+
+
+def test_corpus_reports_a_search_out_of_budget_and_goes_on(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("costltl.bounded.MAX_ONTHEFLY_CONFIGS", 3)
+    with open(fixture("count-letter-s.aut"), encoding="utf-8") as fh:
+        (tmp_path / "count-letter-s.aut").write_text(fh.read(), encoding="utf-8")
+    (tmp_path / "hard.ltl").write_text("alphabet ab\n!a U# END\n", encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    assert [ln.split(None, 2) for ln in out.splitlines()] == [
+        ["count-letter-s.aut", "ok", "S-automaton, 2 states"],
+        ["hard.ltl", "fail", "on-the-fly search exceeded 3 configurations"]]
 
 
 def test_undeclared_semigroup_name_exits_2(capsys, tmp_path):
