@@ -16,6 +16,14 @@ to E·L·E, where L holds E's loops (q, x, q) with x stabilized. With no
 counters the same closure is the transition semigroup of the automaton, and
 `language_recognizer` turns it into a recognizer of the regular language.
 
+The closure stores an element in the matrix form of Colcombet's
+construction: a tuple of one int per state, in which bit sigma * n + r of
+row p stands for the triple (p, sigma, r), n the number of states and sigma
+the number of a composed action. Row p of E·F is the OR, over each
+(sigma, q) of row p of E, of row q of F with each action scaled by sigma on
+the left, keeping for each target only its least actions; each search
+memoises these steps (`_Rows`).
+
 A composed action is one semigroup element per counter. Both methods read
 the automaton alike. A loop's action is stabilized with omega-sharp, (x^omega)#
 on each counter. A run that reaches state q with action sigma witnesses
@@ -31,7 +39,7 @@ walk over the counters.
 """
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 from .core import INF, saturate
 from .actions import S_ACTIONS, vec_product, vec_leq
@@ -47,6 +55,8 @@ MAX_ONTHEFLY_CONFIGS = 500000  # bounded_onthefly gives up past this many
 MAX_CLOSURE_ELEMENTS = 200000  # run_semigroup_closure gives up past this many
 
 
+# Both searches compose the actions of every transition and exit on each call.
+@lru_cache(maxsize=4096)
 def compose_actions(actions):
     """Composed semigroup element per counter of an action-sequence tuple."""
     vec = []
@@ -102,17 +112,17 @@ class _Actions:
         self.neutral = ids[(S_ACTIONS.neutral,) * counters]
 
 
-def _minimal(act, by_pair):
-    """(src, sigma, dst) for each minimal sigma of each (src, dst) pair of
-    by_pair, which maps pairs to their distinct sigmas; a worse action
-    never helps. The order is that of insertion into by_pair."""
+def _minimal(act, by_key):
+    """(key, sigma) for each minimal sigma of each key of by_key, which maps
+    keys to their distinct sigmas; a worse action never helps. The order is
+    that of insertion into by_key."""
     out = []
-    for (src, dst), sigmas in by_pair.items():
+    for key, sigmas in by_key.items():
         for sigma in sigmas:
             # a lone sigma, the common case, is minimal
             if len(sigmas) == 1 or not any(other != sigma and act.leq[other, sigma]
                                            for other in sigmas):
-                out.append((src, sigma, dst))
+                out.append((key, sigma))
     return out
 
 
@@ -124,7 +134,7 @@ def contracted_edges(aut, act):
     for src, a, actions, dst in aut.transitions:
         by_pair.setdefault((src, dst), {}).setdefault(act.ids[compose_actions(actions)], a)
     return [(src, sigma, dst, by_pair[(src, dst)][sigma])
-            for src, sigma, dst in _minimal(act, by_pair)]
+            for (src, dst), sigma in _minimal(act, by_pair)]
 
 
 def _exit_actions(aut, act):
@@ -270,76 +280,140 @@ def bounded_onthefly(aut):
 # --- run-semigroup closure ---------------------------------------------------
 
 
-def _minimal_triples(act, triples):
-    """Antichain of minimal triples of a set; a triple subsumes every worse
-    one with the same endpoints."""
-    by_pair = {}
-    for p, sigma, q in triples:
-        by_pair.setdefault((p, q), []).append(sigma)
-    if len(by_pair) == len(triples):  # no two triples to compare
-        return frozenset(triples)
-    return frozenset(_minimal(act, by_pair))
+def _bits(m):
+    """Positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
-def _elem_product(act, E, F):
-    by_src = {}
-    for p, sigma, q in F:
-        by_src.setdefault(p, []).append((sigma, q))
-    mul = act.mul
-    return _minimal_triples(act, {(p, mul[sigma1, sigma2], r)
-                                  for p, sigma1, q in E
-                                  for sigma2, r in by_src.get(q, ())})
+class _Rows:
+    """The tables of one closure over n states, sigma an id of act:
+    scale[sigma, row] is row with each action tau replaced by sigma·tau,
+    least[row] keeps of each target only its minimal actions (a worse action
+    never helps) and times[F][row] is the row of the product of row by the
+    element F. Rows recur: the 132 closures of the boundedness benchmark
+    multiply 18,183 nonzero rows, but only 5,544 distinct (row, F) pairs."""
+
+    __slots__ = ("act", "n", "scale", "least", "times")
+
+    def __init__(self, act, n):
+        mul = act.mul
+
+        def scale(key):
+            sigma, row = key
+            out = 0
+            for b in _bits(row):
+                tau, r = divmod(b, n)
+                out |= 1 << (mul[sigma, tau] * n + r)
+            return out
+
+        def least(row):
+            by_dst = {}
+            for b in _bits(row):
+                sigma, r = divmod(b, n)
+                by_dst.setdefault(r, []).append(sigma)
+            out = 0
+            for r, sigma in _minimal(act, by_dst):
+                out |= 1 << (sigma * n + r)
+            return out
+
+        self.act, self.n = act, n
+        self.scale, self.least = _Memo(scale), _Memo(least)
+        # plain dicts: a lookup in them is quicker than in a _Memo
+        self.times = _Memo(lambda F: {})
 
 
-def _elem_sharp(act, E):
+def _elem_product(rows, E, F):
+    """Row p of E·F is times[F][row p of E]: the least actions of the OR,
+    over each (sigma, q) of that row, of row q of F scaled by sigma."""
+    n, scale, least = rows.n, rows.scale, rows.least
+    times = rows.times[F]
+    out = []
+    for row in E:
+        prod = times.get(row)
+        if prod is None:
+            acc = 0
+            for b in _bits(row):
+                sigma, q = divmod(b, n)
+                if F[q]:
+                    acc |= scale[sigma, F[q]]
+            prod = times[row] = least[acc]
+        out.append(prod)
+    return tuple(out)
+
+
+def _elem_sharp(rows, E):
     """Stabilization E·L·E of an idempotent element, where L holds E's loops
     (q, sigma, q) with each counter's action stabilized as (x^omega)#."""
-    loops = frozenset((q, act.omega_sharp[sigma], q) for q, sigma, q2 in E if q == q2)
-    return _elem_product(act, _elem_product(act, E, loops), E)
+    n, omega_sharp = rows.n, rows.act.omega_sharp
+    loops = []
+    for q, row in enumerate(E):
+        loop = 0
+        for b in _bits(row):
+            sigma, r = divmod(b, n)
+            if r == q:
+                loop |= 1 << (omega_sharp[sigma] * n + q)
+        loops.append(loop)
+    return _elem_product(rows, _elem_product(rows, E, tuple(loops)), E)
 
 
-def _elem_unbounded(act, initial, accept, E):
-    """Some triple of E from an initial state is accepted (`_accepts`)."""
-    return any(_accepts(act, accept, sigma, q) for p, sigma, q in E if p in initial)
+def _elem_unbounded(rows, initial, accept, E):
+    """Some triple of E from an initial state (by index) is accepted
+    (`_accepts`, with accept keyed by state index)."""
+    n, act = rows.n, rows.act
+    return any(_accepts(act, accept, *divmod(b, n)) for p in initial for b in _bits(E[p]))
 
 
-def _run_effects(aut, act, letters=()):
-    """(images, accept): the run-semigroup element of each letter with a
-    transition, and of each of letters (the empty element if it has none),
-    and the composed exit actions of each state."""
-    triples = {a: set() for a in letters}
+def _run_effects(aut, rows, letters=()):
+    """(images, initial, accept): the run-semigroup element of each letter
+    with a transition, and of each of letters (the empty element if it has
+    none), the indices of the initial states and the composed exit actions
+    of each state index."""
+    n, ids, least = rows.n, rows.act.ids, rows.least
+    index = {q: i for i, q in enumerate(aut.states)}
+    images = {a: [0] * n for a in letters}
     for src, a, actions, dst in aut.transitions:
-        triples.setdefault(a, set()).add((src, act.ids[compose_actions(actions)], dst))
-    return {a: _minimal_triples(act, t) for a, t in triples.items()}, _exit_actions(aut, act)
+        if a not in images:
+            images[a] = [0] * n
+        images[a][index[src]] |= 1 << (ids[compose_actions(actions)] * n + index[dst])
+    accept = {index[q]: xs for q, xs in _exit_actions(aut, rows.act).items()}
+    return ({a: tuple(least[row] for row in E) for a, E in images.items()},
+            [index[q] for q in aut.states if q in aut.initial], accept)
 
 
-def _closure(act, images):
+def _closure(rows, images):
     """The run-semigroup elements generated by images, in discovery order."""
-    return saturate(images.values(), partial(_elem_product, act), partial(_elem_sharp, act))
+    return saturate(images.values(), partial(_elem_product, rows), partial(_elem_sharp, rows))
 
 
 def run_semigroup_closure(aut):
     """Saturate the letter images under product and stabilization; returns
-    (elements found, unbounded verdict). The search stops at the first
-    element that witnesses unboundedness."""
+    (elements found, unbounded verdict), each element a frozenset of
+    (source, composed action, target) triples. The search stops at the
+    first element that witnesses unboundedness."""
     if aut.kind != "S":
         raise ValueError("boundedness is decided on S-automata")
     if eval_s(aut, "") == INF:
         return frozenset(), True
-    act = _Actions(aut.counters)
-    images, accept = _run_effects(aut, act)
+    rows = _Rows(_Actions(aut.counters), len(aut.states))
+    images, initial, accept = _run_effects(aut, rows)
     found = []
     unbounded = False
-    for E in _closure(act, images):
+    for E in _closure(rows, images):
         found.append(E)
-        if _elem_unbounded(act, aut.initial, accept, E):
+        if _elem_unbounded(rows, initial, accept, E):
             unbounded = True
             break
         if len(found) > MAX_CLOSURE_ELEMENTS:
             raise RuntimeError("run-semigroup closure exceeded %d elements"
                                % MAX_CLOSURE_ELEMENTS)
-    vecs = act.vecs
-    return frozenset(frozenset((p, vecs[sigma], q) for p, sigma, q in E)
+    # the tables go before the triples are built, so the two never add up
+    states, n, vecs = aut.states, rows.n, rows.act.vecs
+    del rows
+    return frozenset(frozenset((states[p], vecs[b // n], states[b % n])
+                               for p, row in enumerate(E) for b in _bits(row))
                      for E in found), unbounded
 
 
@@ -352,18 +426,18 @@ def language_recognizer(aut):
     if aut.counters != 0:
         raise ValueError("a language recognizer needs a counter-free "
                          "(classical) automaton")
-    act = _Actions(0)
-    images, accept = _run_effects(aut, act, aut.alphabet)
-    elems = list(_closure(act, images))
+    rows = _Rows(_Actions(0), len(aut.states))
+    images, initial, accept = _run_effects(aut, rows, aut.alphabet)
+    elems = list(_closure(rows, images))
     name = {E: "t%d" % i for i, E in enumerate(elems)}
-    product = {(name[E], name[F]): name[_elem_product(act, E, F)]
+    product = {(name[E], name[F]): name[_elem_product(rows, E, F)]
                for E in elems for F in elems}
     sharp = {x: x for x in name.values() if product[(x, x)] == x}
     sg = StabSemigroup(tuple(name.values()), product,
                        frozenset((x, x) for x in name.values()), sharp)
     # with no counters, _elem_unbounded asks whether some run accepts
     ideal = frozenset(name[E] for E in elems
-                      if _elem_unbounded(act, aut.initial, accept, E) == (aut.kind == "S"))
+                      if _elem_unbounded(rows, initial, accept, E) == (aut.kind == "S"))
     return Recognizer(sg, {a: name[E] for a, E in images.items()}, ideal)
 
 

@@ -10,7 +10,7 @@ from costltl import (INF, Alphabet, achievable_values, eval_s, models, parse, re
                      words_upto)
 from costltl.actions import S_ACTIONS
 from costltl.bounded import (MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions, _Memo, _minimal,
-                             _minimal_triples, compose_actions, contracted_edges)
+                             compose_actions, contracted_edges)
 from costltl.semigroup import ECat, ELetter, EOmegaSharp
 
 AB = Alphabet("ab")
@@ -323,7 +323,7 @@ def stack_bfs_onthefly(aut):
         out.setdefault(src, []).append((sigma, dst, letter))
     exits = {(q, _ACCEPT): {act.ids[compose_actions(actions)]: None for actions in options}
              for q, options in aut.exits.items()}
-    for src, sigma, dst in _minimal(act, exits):
+    for (src, dst), sigma in _minimal(act, exits):
         out.setdefault(src, []).append((sigma, dst, None))
 
     def step(top):
@@ -384,10 +384,39 @@ def stack_bfs_onthefly(aut):
 
 
 # ---------------------------------------------------------------------------
-# Stabilization of a run-semigroup element in one shot: every run p -> q -> r
-# of E through a pumped loop at q, composed per triple. The oracle for
-# costltl.bounded._elem_sharp, which builds the same antichain as the product
-# E·L·E of interned elements.
+# Run-semigroup elements as sets of (p, sigma, r) triples, sigma an id of an
+# _Actions table: the product and the stabilization in one shot, the oracles
+# for costltl.bounded._elem_product and _elem_sharp, which store an element
+# as rows of bit masks (read back with elem_triples) and stabilize it as the
+# product E·L·E.
+
+
+def elem_triples(n, E):
+    """The (p, sigma, r) triples of an element stored as rows of bit masks
+    over n states: bit sigma * n + r of row p."""
+    return frozenset((p, b // n, b % n) for p, row in enumerate(E)
+                     for b, bit in enumerate(reversed(bin(row))) if bit == "1")
+
+
+def _minimal_triples(act, triples):
+    """Antichain of minimal triples of a set; a triple subsumes every worse
+    one with the same endpoints."""
+    by_pair = {}
+    for p, sigma, q in triples:
+        by_pair.setdefault((p, q), []).append(sigma)
+    return frozenset((p, sigma, q) for (p, q), sigma in _minimal(act, by_pair))
+
+
+def triple_elem_product(act, E, F):
+    """The minimal triples (p, sigma1·sigma2, r) over (p, sigma1, q) in E
+    and (q, sigma2, r) in F."""
+    by_src = {}
+    for p, sigma, q in F:
+        by_src.setdefault(p, []).append((sigma, q))
+    mul = act.mul
+    return _minimal_triples(act, {(p, mul[sigma1, sigma2], r)
+                                  for p, sigma1, q in E
+                                  for sigma2, r in by_src.get(q, ())})
 
 
 def one_shot_elem_sharp(act, E):

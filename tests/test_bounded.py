@@ -16,6 +16,7 @@ from costltl import (
     classify,
     dualize,
     eval_s,
+    formula_automaton,
     instantiate,
     load_automaton,
     load_semigroup,
@@ -31,10 +32,11 @@ from costltl import (
 from costltl.automata import S_TOKENS
 from costltl.actions import S_ACTIONS, S_ELEMS
 from costltl.bounded import (GOOD, MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions, _closure,
-                             _elem_product, _elem_sharp, _elem_unbounded, _run_effects,
+                             _elem_product, _elem_sharp, _elem_unbounded, _Rows, _run_effects,
                              compose_actions, run_semigroup_closure)
-from conftest import (AB, EXIT_ON_EMPTY_WORD, corpus, fixture, one_shot_elem_sharp,
-                      stack_bfs_onthefly)
+from costltl.core import saturate
+from conftest import (AB, EXIT_ON_EMPTY_WORD, corpus, elem_triples, fixture,
+                      one_shot_elem_sharp, stack_bfs_onthefly, triple_elem_product)
 from test_translate import _criterion9_distinct
 
 
@@ -440,12 +442,14 @@ def _assert_sharp_matches_one_shot(aut):
     # each idempotent of the closure, up to the first element that
     # witnesses unboundedness (where run_semigroup_closure stops), stabilizes
     # by E·L·E to the very antichain of the one-shot formula
-    act = _Actions(aut.counters)
-    images, accept = _run_effects(aut, act)
-    for E in _closure(act, images):
-        if _elem_product(act, E, E) == E:
-            assert _elem_sharp(act, E) == one_shot_elem_sharp(act, E), sorted(E)
-        if _elem_unbounded(act, aut.initial, accept, E):
+    rows = _Rows(_Actions(aut.counters), len(aut.states))
+    images, initial, accept = _run_effects(aut, rows)
+    for E in _closure(rows, images):
+        if _elem_product(rows, E, E) == E:
+            triples = elem_triples(rows.n, E)
+            assert elem_triples(rows.n, _elem_sharp(rows, E)) == \
+                one_shot_elem_sharp(rows.act, triples), sorted(triples)
+        if _elem_unbounded(rows, initial, accept, E):
             break
 
 
@@ -462,6 +466,60 @@ def test_stabilization_matches_one_shot_formula(formulas):
 @given(st.sampled_from((1, 2, 3)).flatmap(_s_automata))
 def test_stabilization_matches_one_shot_formula_on_random_automata(aut):
     _assert_sharp_matches_one_shot(aut)
+
+
+def _assert_closure_matches_triple_oracle(aut):
+    # every product and stabilization that the closure computes, up to the
+    # element where run_semigroup_closure stops, is, read as (p, sigma, r)
+    # triples, the triple-set product or the one-shot stabilization of its
+    # factors read the same way
+    rows = _Rows(_Actions(aut.counters), len(aut.states))
+    act = rows.act
+    images, initial, accept = _run_effects(aut, rows)
+    decoded = {}
+
+    def triples(E):
+        if E not in decoded:
+            decoded[E] = elem_triples(rows.n, E)
+        return decoded[E]
+
+    def product(E, F):
+        EF = _elem_product(rows, E, F)
+        assert triples(EF) == triple_elem_product(act, triples(E), triples(F)), (E, F)
+        return EF
+
+    def sharp(E):
+        S = _elem_sharp(rows, E)
+        assert triples(S) == one_shot_elem_sharp(act, triples(E)), E
+        return S
+
+    for E in saturate(images.values(), product, sharp):
+        if _elem_unbounded(rows, initial, accept, E):
+            break
+
+
+@pytest.mark.parametrize("formulas", [
+    pytest.param(corpus, id="corpus"),
+    pytest.param(lambda: _criterion9_distinct(60), id="criterion9"),
+])
+def test_closure_products_match_triple_oracle(formulas):
+    for phi in formulas():
+        _assert_closure_matches_triple_oracle(nltl_to_s(dualize(phi, AB), AB))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 3)).flatmap(_s_automata))
+def test_closure_products_match_triple_oracle_on_random_automata(aut):
+    _assert_closure_matches_triple_oracle(aut)
+
+
+def test_closure_decides_85_state_criterion9_formula():
+    # a criterion 9 formula whose S-automaton has 85 states, 4,099
+    # transitions and 3 counters
+    aut = formula_automaton(parse("(END U X (a & END)) U (a U# X b) U X b U# b U# END", AB), AB)
+    assert (len(aut.states), len(aut.transitions), aut.counters) == (85, 4099, 3)
+    elements, unbounded = run_semigroup_closure(aut)
+    assert unbounded and len(elements) == 30
 
 
 def _two_loop_automaton(declared):
