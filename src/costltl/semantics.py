@@ -20,8 +20,6 @@ from .formula import (
     Until,
     UntilLeq,
     ReleaseGeq,
-    is_ltl,
-    is_nltl,
     size,
     subformulas,
 )
@@ -125,14 +123,20 @@ def _value(phi, u, inf):
     """Least (inf) or greatest (sup) budget satisfying phi at position 0 of
     u: INF if every budget does, and INF (inf) or -1 (sup) if none does.
     Finite values never exceed len(u). The table keeps a row of len(u) + 1
-    values for each distinct subformula."""
+    values for each distinct subformula. phi must be pure LTL<= (inf) or
+    pure nLTL<= (sup); the one walk over its subformulae checks that too."""
+    subs = subformulas(phi)
     m = len(u)
     if inf:
+        if any(isinstance(f, ReleaseGeq) for f in subs):
+            raise ValueError("sem_inf expects a pure LTL<= formula")
         top, bot, meet, join = 0, INF, max, min
     else:
+        if any(isinstance(f, UntilLeq) for f in subs):
+            raise ValueError("sem_sup expects a pure nLTL<= formula")
         top, bot, meet, join = INF, -1, min, max
     rows = {}  # subformula -> its value at positions 0..m
-    for f in sorted(subformulas(phi), key=size):
+    for f in sorted(subs, key=size):
         kind = type(f)
         if kind is Atom:
             row = [top if c == f.letter else bot for c in u] + [bot]
@@ -158,13 +162,9 @@ def _value(phi, u, inf):
 
 def sem_inf(phi, u):
     """[[phi]](u) = inf{n : (u,n) |= phi} for a pure LTL<= formula."""
-    if not is_ltl(phi):
-        raise ValueError("sem_inf expects a pure LTL<= formula")
     return _value(phi, u, inf=True)
 
 
 def sem_sup(phi, u):
     """[[phi]](u) = sup{n : (u,n) |= phi} for a pure nLTL<= formula."""
-    if not is_nltl(phi):
-        raise ValueError("sem_sup expects a pure nLTL<= formula")
     return max(_value(phi, u, inf=False), 0)

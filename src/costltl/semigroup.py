@@ -2,7 +2,7 @@
 factorization trees, sharp expressions and their boundedness classification."""
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .core import FORMAT_HEADER, INF, order_closure, read_fields
 
@@ -27,6 +27,17 @@ class StabSemigroup:
     def idempotents(self):
         return [x for x in self.elements if self.is_idempotent(x)]
 
+    @cached_property
+    def _numbered(self):
+        """(index, table): index numbers the elements in order, and
+        table[x][y] is the number of the product of the elements numbered x
+        and y. Built on first use and kept, so the product dict must not be
+        changed after that."""
+        index = {x: k for k, x in enumerate(self.elements)}
+        product = self.product
+        return index, [[index[product[(x, y)]] for y in self.elements]
+                       for x in self.elements]
+
 
 def make_semigroup(elements, product, order_pairs, sharp, neutral=None):
     """Build a StabSemigroup, closing the declared order reflexively and
@@ -48,12 +59,15 @@ def validate_axioms(sg):
                 diags.append("product (%s, %s) leaves the element set" % (x, y))
     if diags:
         return diags
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if sg.mul(sg.mul(x, y), z) != sg.mul(x, sg.mul(y, z)):
-                    diags.append("associativity fails on (%s, %s, %s)" % (x, y, z))
-                    break
+    # row xy of the table must equal x times each entry of row y; only a
+    # differing row is scanned for its first bad z
+    _, table = sg._numbered
+    for x, row in zip(elems, table):
+        for y, xy, yrow in zip(elems, row, table):
+            xyz, x_yz = table[xy], [row[yz] for yz in yrow]
+            if xyz != x_yz:
+                z = next(z for z, a, b in zip(elems, xyz, x_yz) if a != b)
+                diags.append("associativity fails on (%s, %s, %s)" % (x, y, z))
     for x in elems:
         if not sg.le(x, x):
             diags.append("order not reflexive at %s" % (x,))
@@ -183,56 +197,94 @@ def _threshold_masks(rec, w):
     the same at every n. An idempotent node over k >= 2 parts equal to e
     holds for n >= k; a stabilization node over k parts, of value e sharp,
     holds for n < k (at n = 0 a single part already counts as many).
+
+    Round t adds the trees of height t. It is semi-naive: vals[i][j] maps
+    the number of each value of [i, j) to its mask, and delta[i][j] holds the
+    bits that the last round added to it. A product then needs only
+    delta·vals and vals·delta, since (a|da) & (b|db) adds to a & b, which an
+    earlier round merged, only bits that those two cover. A chain of e-parts
+    from i reads only intervals inside [i, m), so it is rerun only from the
+    starts at or left of the rightmost start of a changed e-interval. It
+    keeps k parts at threshold n as bit k * width + n of one int per end, so
+    the mask of the next part, copied into every block, extends all counts
+    with one AND. New bits are merged when the round ends, so round t reads
+    only trees of height < t, and a round that adds no bit ends the DP.
     """
     if not w:
         raise ValueError("achievable_values needs a nonempty sequence")
     sg = rec.semigroup
+    index, table = sg._numbered
     m = len(w)
-    full = (1 << (m + 1)) - 1
-    below = [(1 << k) - 1 for k in range(m + 1)]  # bits n < k
-    idems = [(e, sg.sharp[e]) for e in sg.idempotents()]
-    prev = {(i, j): ({} if j > i + 1 else {w[i]: full})
-            for i in range(m) for j in range(i + 1, m + 1)}
+    width = m + 1  # one bit per threshold n = 0..m
+    full = (1 << width) - 1
+    spread = sum(1 << k * width for k in range(m))  # copies a mask to blocks 0..m-1
+    below = sum(((1 << k) - 1) << k * width for k in range(1, m + 1))  # n < k
+    above = sum((full >> k << k) << k * width for k in range(2, m + 1))  # n >= k
+
+    def fold(x):  # the OR of x's blocks
+        out = 0
+        while x:
+            out |= x & full
+            x >>= width
+        return out
+
+    idems = [(index[e], index[sg.sharp[e]]) for e in sg.idempotents()]
+    vals = [[{index[w[i]]: full} if j == i + 1 else {} for j in range(m + 1)]
+            for i in range(m)]
+    delta = [[dict(d) for d in row] for row in vals]
     for _ in range(rec.height):
-        cur = {span: dict(vals) for span, vals in prev.items()}
-        for (i, j), vals in cur.items():
-            for mid in range(i + 1, j):
-                right = prev[(mid, j)]
-                for x, mx in prev[(i, mid)].items():
-                    for y, my in right.items():
-                        both = mx & my
-                        if both:
-                            z = sg.product[(x, y)]
-                            vals[z] = vals.get(z, 0) | both
+        got = [[{} for _ in range(m + 1)] for _ in range(m)]
+        for i in range(m):
+            for mid in range(i + 1, m):
+                left, dleft = vals[i][mid], delta[i][mid]
+                if not left:
+                    continue
+                for j in range(mid + 1, m + 1):
+                    for xs, ys in ((dleft, vals[mid][j]), (left, delta[mid][j])):
+                        if xs and ys:
+                            acc = got[i][j]
+                            for x, mx in xs.items():
+                                row = table[x]
+                                for y, my in ys.items():
+                                    both = mx & my
+                                    if both:
+                                        z = row[y]
+                                        acc[z] = acc.get(z, 0) | both
         for e, es in idems:
-            for i in range(m):
-                parts = {i: {0: full}}  # end -> part count k -> mask
+            last = max((i for i in range(m) for d in delta[i] if e in d), default=-1)
+            for i in range(last + 1):
+                parts = {i: full}  # end -> bit k * width + n: k parts at threshold n
                 for j in range(i + 1, m + 1):
-                    counts = {}
+                    counts = 0
                     for start, before in parts.items():
-                        me = prev[(start, j)].get(e, 0)
+                        me = vals[start][j].get(e, 0)
                         if me:
-                            for k, mk in before.items():
-                                both = mk & me
-                                if both:
-                                    counts[k + 1] = counts.get(k + 1, 0) | both
+                            counts |= before & me * spread
                     if not counts:
                         continue
+                    counts <<= width
                     parts[j] = counts
-                    vals = cur[(i, j)]
-                    idem = stab = 0
-                    for k, mk in counts.items():
-                        stab |= mk & below[k]
-                        if k >= 2:
-                            idem |= mk >> k << k
+                    acc = got[i][j]
+                    idem, stab = fold(counts & above), fold(counts & below)
                     if idem:
-                        vals[e] = vals.get(e, 0) | idem
+                        acc[e] = acc.get(e, 0) | idem
                     if stab:
-                        vals[es] = vals.get(es, 0) | stab
-        if cur == prev:
+                        acc[es] = acc.get(es, 0) | stab
+        grew = False
+        for i in range(m):
+            for j in range(i + 1, m + 1):
+                cur, new = vals[i][j], {}
+                for z, mz in got[i][j].items():
+                    mz &= ~cur.get(z, 0)
+                    if mz:
+                        new[z] = mz
+                        cur[z] = cur.get(z, 0) | mz
+                delta[i][j] = new
+                grew = grew or bool(new)
+        if not grew:
             break
-        prev = cur
-    return prev[(0, m)]
+    elements = sg.elements
+    return {elements[z]: mz for z, mz in vals[0][m].items()}
 
 
 def recognize(rec, u):

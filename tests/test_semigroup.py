@@ -1,6 +1,8 @@
 """Stabilization semigroups: axioms, recognition by factorization trees,
 #-expressions, and the file format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +15,12 @@ from costltl import (
     eval_expr,
     idempotent_power,
     instantiate,
+    language_recognizer,
     load_semigroup,
     loads_semigroup,
+    ltl_to_b,
     make_semigroup,
+    parse,
     parse_expr,
     recognize,
     render_expr,
@@ -24,7 +29,7 @@ from costltl import (
 )
 from costltl.actions import S_ACTIONS, S_ELEMS
 from costltl.semigroup import ECat, ELetter, EOmega, EOmegaSharp, ESharp
-from conftest import all_words, assert_matches_scan, fixture
+from conftest import AB, all_words, assert_matches_scan, fixture
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +242,59 @@ def action_recognizers(draw):
 @given(action_recognizers(), st.text("ab", min_size=1, max_size=7))
 def test_recognize_matches_scan_on_action_recognizers(rec, u):
     assert_matches_scan(rec, u)
+
+
+def _with_height(rec, height):
+    return Recognizer(rec.semigroup, rec.h, rec.ideal, height)
+
+
+# counter-free formulae whose language recognizers have 22-30 elements
+LONG_WORD_FORMULAS = ["X X X a", "(X a U b) U (X X b)", "(a U X b) U X X a"]
+
+
+def test_recognize_matches_scan_on_long_words():
+    """The semi-naive DP against the per-threshold scan on words longer than
+    test_recognize_matches_scan_on_fixtures reaches, at each recognizer's
+    height and at heights 1-3, where the height binds before the fixpoint."""
+    rng = random.Random(25)
+    _, counting = load_semigroup(fixture("counting.sg"))
+    _, parity = load_semigroup(fixture("parity.sg"))
+    words = []
+    for length, a_share in zip(range(7, 13), (0, 1, 0.2, 0.8, 0.4, 0.6)):
+        a_count = round(a_share * length)
+        letters = list("a" * a_count + "b" * (length - a_count))
+        rng.shuffle(letters)
+        words.append((counting, "".join(letters)))
+    words += [(parity, "a" * n) for n in range(1, 15)]
+    for text in LONG_WORD_FORMULAS:
+        rec = language_recognizer(ltl_to_b(parse(text, AB), AB))
+        assert len(rec.semigroup.elements) >= 20, text
+        words.append((rec, "".join(rng.choice("ab") for _ in range(5))))
+    # here some trees join a left child built rounds ago to a right child
+    # that only the last round built: only the vals·delta product finds them
+    actions = Recognizer(S_ACTIONS, {"a": "cr", "b": "i"}, frozenset(), 6)
+    words.append((actions, "ab" * 5))
+    for rec, u in words:
+        for height in (rec.height, 1, 2, 3):
+            assert_matches_scan(_with_height(rec, height), u)
+
+
+def test_validate_axioms_lists_each_bad_pair_once_in_order():
+    """A hand-broken parity product: one associativity line per bad (x, y),
+    naming its first bad z, in the order of the pairs, then the other laws."""
+    text = open(fixture("parity.sg"), encoding="utf-8").read()
+    sg, _ = loads_semigroup(text.replace("product aa : a aa z za", "product aa : a aa za z"))
+    assert validate_axioms(sg) == [
+        "associativity fails on (a, a, z)",
+        "associativity fails on (a, aa, z)",
+        "associativity fails on (aa, a, z)",
+        "associativity fails on (aa, aa, z)",
+        "associativity fails on (z, aa, z)",
+        "associativity fails on (za, aa, z)",
+        "order incompatible: z<=aa but aa.z !<= aa.aa",
+        "order incompatible: z<=aa but z.z !<= aa.z",
+        "order incompatible: z<=aa but z.za !<= aa.za",
+        "order incompatible: za<=a but aa.za !<= aa.a",
+        "derived identity e.e# fails at aa",
+        "(ab)# != a(ba)#b on (aa, aa)",
+    ]
