@@ -1,6 +1,6 @@
 """Extended naturals, alphabets and words, and the helpers every layer shares:
-the order closure, the saturation of seeds into the stabilization semigroup
-they generate, and the file-format readers."""
+the order closure, the set bits of a mask, the saturation of seeds into the
+stabilization semigroup they generate, and the file-format readers."""
 
 INF = float("inf")
 
@@ -47,18 +47,6 @@ class Alphabet:
         return u
 
 
-def words_upto(alphabet, max_len, min_len=0):
-    """All words over the alphabet with min_len <= |u| <= max_len, shortlex order."""
-    out = []
-    layer = [""]
-    for n in range(max_len + 1):
-        if n >= min_len:
-            out.extend(layer)
-        if n < max_len:
-            layer = [u + a for u in layer for a in alphabet]
-    return out
-
-
 def order_closure(pairs, elems):
     """Reflexive-transitive closure of the relation pairs over elems."""
     leq = {(x, x) for x in elems}
@@ -73,25 +61,44 @@ def order_closure(pairs, elems):
         leq |= new
 
 
-def saturate(seeds, mul, sharp):
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def saturate(seeds, mul, sharp, gens):
     """Closure of seeds under the product mul and under sharp on idempotents,
-    yielding each element once, in discovery order."""
-    found = dict.fromkeys(seeds)
-    yield from found
-    work = list(found)
+    yielding each element once, in discovery order. Every element is a
+    product of generators: the seeds, and each sharp not found before it
+    (Froidure & Pin, 1997). So each element x is multiplied on the right by
+    each generator only, and x·x is formed to test idempotence; a new
+    generator multiplies every element taken before it. The generators are
+    appended to gens."""
+    found = {}
+    work = []
+
+    def admit(xs):
+        for x in xs:
+            if x not in found:
+                found[x] = None
+                work.append(x)
+                yield x
+
+    yield from admit(seeds)
+    gens.extend(found)
+    done = []
     while work:
         x = work.pop()
-        for y in list(found):
-            if y is x:
-                xx = mul(x, x)
-                new = (xx, sharp(x)) if xx == x else (xx,)
-            else:
-                new = (mul(x, y), mul(y, x))
-            for z in new:
-                if z not in found:
-                    found[z] = None
-                    work.append(z)
-                    yield z
+        done.append(x)
+        yield from admit([mul(x, g) for g in gens])
+        if mul(x, x) == x:
+            s = sharp(x)
+            if s not in found:
+                gens.append(s)
+                yield from admit([s] + [mul(y, s) for y in done])
 
 
 FORMAT_HEADER = "costltl-format 1"

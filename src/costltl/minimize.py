@@ -2,7 +2,9 @@
 aperiodicity and definability decisions.
 
 Contexts with a single occurrence of the hole are realized as element
-self-maps generated by left and right multiplications and the omega-sharp map
+self-maps generated by left and right multiplications by generators (the
+letter images and the new sharps that saturation hands back; a product by
+g1...gk composes the products by each gi) and the omega-sharp map
 s -> (s^omega)#. Two elements are congruent when every such map keeps them on
 the same side of the accepting ideal and of its escape boundary: besides
 membership, the test tracks whether some element above the image escapes the
@@ -24,23 +26,23 @@ from .core import order_closure, saturate
 from .semigroup import StabSemigroup, Recognizer, omega_sharp, power_cycle
 
 
-def congruence_classes(sg, ideal, elems):
+def congruence_classes(sg, ideal, elems, gens):
     """Partition refinement on elems, a product- and sharp-closed tuple of
-    sg's elements in element order: the coarsest partition separating
-    (membership, escape) signatures and stable under the context-map
-    generators built from elems. Escape asks whether some element of elems
-    above x leaves the ideal."""
-    gens = []
-    for x in elems:
-        gens.append(lambda s, x=x: sg.mul(x, s))
-        gens.append(lambda s, x=x: sg.mul(s, x))
-    gens.append(lambda s: omega_sharp(sg, s))
+    sg's elements in element order, generated by gens: the coarsest
+    partition separating (membership, escape) signatures and stable under
+    the left and right products by each of gens and under omega-sharp.
+    Escape asks whether some element of elems above x leaves the ideal."""
+    maps = []
+    for g in gens:
+        maps.append(lambda s, g=g: sg.mul(g, s))
+        maps.append(lambda s, g=g: sg.mul(s, g))
+    maps.append(lambda s: omega_sharp(sg, s))
     block = {x: (x in ideal, any(sg.le(x, y) and y not in ideal for y in elems))
              for x in elems}
     while True:
         # a list, not a generator: the generator frames left the allocator
         # fragmented over many calls (ru_maxrss grew, live memory did not)
-        refined = {x: (block[x],) + tuple([block[g(x)] for g in gens]) for x in elems}
+        refined = {x: (block[x],) + tuple([block[f(x)] for f in maps]) for x in elems}
         renum = {}  # refined key -> new block number, in first-seen order
         new_block = {x: renum.setdefault(refined[x], len(renum)) for x in elems}
         if len(renum) == len(set(block.values())):
@@ -63,9 +65,10 @@ def syntactic_quotient(rec):
     congruence; the result is the minimal recognizer of the same function."""
     sg = rec.semigroup
     # the elements denoted by omega-sharp expressions over the letter images
-    gen = set(saturate(rec.h.values(), sg.mul, sg.sharp.__getitem__))
+    gens = []
+    gen = set(saturate(rec.h.values(), sg.mul, sg.sharp.__getitem__, gens))
     elems = tuple(x for x in sg.elements if x in gen)
-    classes = congruence_classes(sg, rec.ideal, elems)
+    classes = congruence_classes(sg, rec.ideal, elems, gens)
     rep = {}
     members = {}  # representative (its first member) -> its class
     for cls in classes:
@@ -91,7 +94,7 @@ def syntactic_quotient(rec):
                 raise ValueError("sharp not well-defined on the quotient")
             sharp[cx] = values.pop()
 
-    order = _induced_order(class_elems, product, sharp)
+    order = _induced_order(class_elems, product, sharp, {rep[g] for g in gens})
     qsg = StabSemigroup(class_elems, product, frozenset(order), sharp,
                         rep.get(sg.neutral))
     q_ideal = frozenset(rep[x] for x in rec.ideal if x in rep)
@@ -100,15 +103,17 @@ def syntactic_quotient(rec):
     return Quotient(q_rec, tuple(tuple(c) for c in classes), dict(rep))
 
 
-def _induced_order(elems, product, sharp):
+def _induced_order(elems, product, sharp, gens):
     """Least partial order with e# <= e, closed under product compatibility,
-    sharp monotonicity, and transitivity. Raises if antisymmetry fails."""
+    sharp monotonicity, and transitivity. Compatibility with the products by
+    gens, which generate elems, is compatibility with every product. Raises
+    if antisymmetry fails."""
     leq = {(es, e) for e, es in sharp.items()}
     while True:
         leq = order_closure(leq, elems)
         new = set()
         for (x, y) in leq:
-            for z in elems:
+            for z in gens:
                 new.add((product[(z, x)], product[(z, y)]))
                 new.add((product[(x, z)], product[(y, z)]))
             if x in sharp and y in sharp:

@@ -14,18 +14,10 @@ pseudo-state is an int with bit i for the i-th node, so its largest member is
 its highest set bit; only reachable states become sets of formulae.
 """
 
-from .core import Alphabet
+from .core import Alphabet, _bits
 from .formula import (END, And, Atom, Or, Next, Until, UntilLeq, ReleaseGeq, render, size,
                       subformulas)
 from .automata import CostAutomaton, _runs_value
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _fold(memo, root, expand):

@@ -6,8 +6,7 @@ from functools import reduce
 
 import pytest
 
-from costltl import (INF, Alphabet, achievable_values, eval_s, models, parse, recognize,
-                     words_upto)
+from costltl import INF, Alphabet, achievable_values, eval_s, models, parse, recognize
 from costltl.actions import S_ACTIONS
 from costltl.bounded import (MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions, _Memo, _minimal,
                              compose_actions, contracted_edges)
@@ -64,7 +63,9 @@ def corpus():
 
 
 def all_words(max_len, min_len=0):
-    return list(words_upto(AB, max_len, min_len))
+    """All words over AB with min_len <= |u| <= max_len, in shortlex order."""
+    return ["".join(u) for n in range(min_len, max_len + 1)
+            for u in itertools.product(AB, repeat=n)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +248,16 @@ def _scan_part_counts(ach, e, i, j, n):
     return best.get(j, set())
 
 
-def scan_recognize(rec, u):
-    """The least n in [0, |u|] whose n-trees all avoid the ideal, else INF."""
-    w = rec.image(u)
-    for n in range(len(w) + 1):
-        if not scan_achievable_values(rec, w, n) & rec.ideal:
-            return n
-    return INF
-
-
 def assert_matches_scan(rec, u):
     """recognize and achievable_values at every n in [0, |u| + 2] agree with
-    the per-threshold scan."""
+    the per-threshold scan; the scan's recognize answer is the least n in
+    [0, |u|] whose n-trees all avoid the ideal, else INF."""
     w = rec.image(u)
-    for n in range(len(w) + 3):
-        assert achievable_values(rec, w, n) == scan_achievable_values(rec, w, n), (u, n)
-    assert recognize(rec, u) == scan_recognize(rec, u), u
+    scans = [scan_achievable_values(rec, w, n) for n in range(len(w) + 3)]
+    for n, values in enumerate(scans):
+        assert achievable_values(rec, w, n) == values, (u, n)
+    expected = next((n for n in range(len(w) + 1) if not scans[n] & rec.ideal), INF)
+    assert recognize(rec, u) == expected, u
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +427,28 @@ def one_shot_elem_sharp(act, E):
                                   for p, sigma1, q in E
                                   for se in loops.get(q, ())
                                   for q2, sigma2, r in E if q2 == q})
+
+
+# ---------------------------------------------------------------------------
+# Saturation by every pair of elements: the oracle for the closure over
+# generators in costltl.core.saturate, which must find the same elements.
+
+
+def pairwise_saturate(seeds, mul, sharp):
+    """Closure of seeds under the product mul and under sharp on idempotents,
+    multiplying each new element by every element found, on both sides."""
+    found = dict.fromkeys(seeds)
+    work = list(found)
+    while work:
+        x = work.pop()
+        for y in list(found):
+            if y is x:
+                xx = mul(x, x)
+                new = (xx, sharp(x)) if xx == x else (xx,)
+            else:
+                new = (mul(x, y), mul(y, x))
+            for z in new:
+                if z not in found:
+                    found[z] = None
+                    work.append(z)
+    return list(found)

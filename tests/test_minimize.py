@@ -1,11 +1,14 @@
 """Syntactic-congruence minimization, aperiodicity, and definability."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from costltl import (
     Recognizer,
+    dumps_semigroup,
     is_aperiodic,
     is_ltl_definable,
     language_recognizer,
@@ -16,7 +19,11 @@ from costltl import (
     syntactic_quotient,
     validate_axioms,
 )
-from conftest import all_words, assert_matches_scan, fixture
+from costltl.actions import S_ACTIONS, S_ELEMS
+from costltl.core import saturate
+from costltl.minimize import _induced_order, congruence_classes
+from conftest import AB, all_words, assert_matches_scan, fixture
+from test_classical import LANGUAGES, _counterless_automata
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +123,87 @@ def test_quotients_recognize_like_scan(counting_rec, parity_rec):
         for u in all_words(5, min_len=1):
             if set(u) <= rec.h.keys():
                 assert_matches_scan(rec, u)
+
+
+# The quotients of the fixtures, as dumps_semigroup wrote them when contexts
+# multiplied by every generated element: classes, order and sharp.
+_FIXTURE_QUOTIENTS = {
+    "counting.sg": ((("bot",), ("a",), ("b",)), """costltl-format 1
+semigroup
+elements bot a b
+neutral b
+product bot : bot bot bot
+product a : bot a a
+product b : bot a b
+order bot a
+sharp bot bot
+sharp a bot
+sharp b b
+h a a
+h b b
+ideal bot
+height 9
+"""),
+    "parity.sg": ((("a",), ("aa",), ("z",), ("za",)), """costltl-format 1
+semigroup
+elements a aa z za
+product a : aa a za z
+product aa : a aa z za
+product z : za z z za
+product za : z za za z
+order z aa
+order za a
+sharp aa z
+sharp z z
+h a a
+ideal a z za
+height 12
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_QUOTIENTS))
+def test_fixture_quotients_are_pinned(name):
+    q = syntactic_quotient(load_semigroup(fixture(name))[1])
+    classes, text = _FIXTURE_QUOTIENTS[name]
+    assert q.classes == classes
+    assert dumps_semigroup(q.recognizer.semigroup, q.recognizer) == text
+
+
+def _assert_generators_suffice(rec):
+    # the classes and the order of the quotient, closed over the generators
+    # that saturation hands back, are those closed over every generated
+    # element and over every class, and the quotient passes its axioms
+    sg = rec.semigroup
+    generated = set(saturate(rec.h.values(), sg.mul, sg.sharp.__getitem__, []))
+    elems = tuple(x for x in sg.elements if x in generated)
+    q = syntactic_quotient(rec)
+    assert list(q.classes) == congruence_classes(sg, rec.ideal, elems, elems)
+    qsg = q.recognizer.semigroup
+    assert qsg.leq == _induced_order(qsg.elements, qsg.product, qsg.sharp, qsg.elements)
+    assert validate_axioms(qsg) == []
+
+
+def test_generators_suffice_on_fixtures_and_languages(counting_rec, parity_rec):
+    recs = [counting_rec, parity_rec, _padded_counting(counting_rec)]
+    recs += [language_recognizer(ltl_to_b(parse(text, AB), AB)) for text, _ in LANGUAGES]
+    recs.append(language_recognizer(ltl_to_b(parse("F (c & X a)", "abc"), "abc")))
+    for rec in recs:
+        _assert_generators_suffice(rec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_counterless_automata())
+def test_generators_suffice_on_random_language_recognizers(aut):
+    _assert_generators_suffice(language_recognizer(aut))
+
+
+def test_generators_suffice_on_action_recognizers():
+    # every image of a and b in the action semigroup, under every
+    # downward-closed ideal: on some of these the sharps are needed as
+    # generators, the letter images alone give other classes and orders
+    ideals = {frozenset(x for x in S_ELEMS if any(S_ACTIONS.le(x, t) for t in tops))
+              for r in range(len(S_ELEMS) + 1) for tops in itertools.combinations(S_ELEMS, r)}
+    for ha, hb in itertools.product(S_ELEMS, repeat=2):
+        for ideal in ideals:
+            _assert_generators_suffice(Recognizer(S_ACTIONS, {"a": ha, "b": hb}, ideal, 3))
