@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
-from .core import FORMAT_HEADER, INF, Alphabet, read_fields
+from .core import FORMAT_HEADER, INF, Alphabet, reach, read_fields
 from .actions import contract_max
 
 B_TOKENS = ("e", "ic", "r")
@@ -247,25 +247,12 @@ def contract_b(aut):
 
 def trim(aut):
     """Restrict to states both reachable and co-reachable; exact for runs."""
-    fwd = {q: set() for q in aut.states}
-    bwd = {q: set() for q in aut.states}
+    fwd = {q: [] for q in aut.states}
+    bwd = {q: [] for q in aut.states}
     for src, _, _, dst in aut.transitions:
-        fwd[src].add(dst)
-        bwd[dst].add(src)
-
-    def closure(seed, edges):
-        seen = set(seed)
-        stack = list(seed)
-        while stack:
-            for q in edges[stack.pop()]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
-
-    reach = closure(aut.initial, fwd)
-    co = closure(aut.final, bwd)
-    keep = reach & co
+        fwd[src].append(dst)
+        bwd[dst].append(src)
+    keep = set(reach(aut.initial, fwd.__getitem__)) & set(reach(aut.final, bwd.__getitem__))
     return replace(
         aut,
         states=tuple(q for q in aut.states if q in keep),

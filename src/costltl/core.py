@@ -1,6 +1,6 @@
-"""Extended naturals, alphabets and words, and the helpers every layer shares:
-the order closure, the set bits of a mask, the saturation of seeds into the
-stabilization semigroup they generate, and the file-format readers."""
+"""Extended naturals, alphabets, and the helpers every layer shares: the
+depth-first walk reach, the order closure, the set bits of a mask, the
+saturation of seeds into a stabilization semigroup, and the file readers."""
 
 INF = float("inf")
 
@@ -47,18 +47,28 @@ class Alphabet:
         return u
 
 
+def reach(seeds, successors):
+    """Every item reachable from seeds, each once, in depth-first pre-order
+    with the first successor first; successors(x) is a sequence. The stack
+    is explicit, so the depth of the walk is not bounded by recursion."""
+    seen = {}
+    stack = list(seeds)[::-1]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            # an item seen before had all it reaches walked then
+            seen[x] = None
+            stack += reversed(successors(x))
+    return list(seen)
+
+
 def order_closure(pairs, elems):
     """Reflexive-transitive closure of the relation pairs over elems."""
-    leq = {(x, x) for x in elems}
-    leq.update(pairs)
-    while True:
-        above = {}
-        for x, y in leq:
-            above.setdefault(x, set()).add(y)
-        new = {(x, z) for x, y in leq for z in above.get(y, ())}
-        if new <= leq:
-            return leq
-        leq |= new
+    above = {}
+    for x, y in pairs:
+        above.setdefault(x, []).append(y)
+    return {(x, x) for x in elems} | {
+        (x, y) for x, ys in above.items() for y in reach(ys, lambda z: above.get(z, ()))}
 
 
 def _bits(mask):

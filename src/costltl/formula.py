@@ -8,7 +8,7 @@ R# for its dual release (at least N confirmations).
 import weakref
 from functools import partial
 
-from .core import Alphabet
+from .core import Alphabet, reach
 
 # (class, *fields) -> weak reference to the live node with those fields. A
 # plain dict: with a WeakValueDictionary, whose get, set and removal run in
@@ -146,6 +146,10 @@ class ParseError(ValueError):
 _KEYWORDS = {"END", "TRUE", "FALSE", "X", "F", "G", "U"}
 
 
+def _is_atom(word):
+    return len(word) == 1 and word.isalpha() and word.islower()
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -169,7 +173,7 @@ def _tokenize(text):
                 continue
             if word in _KEYWORDS:
                 tokens.append((word, i))
-            elif len(word) == 1 and word.islower():
+            elif _is_atom(word):
                 tokens.append(("atom", i, word))
             else:
                 raise ParseError("unknown token %r" % word, i)
@@ -190,6 +194,9 @@ def parse(text, alphabet):
     """Operator-precedence parse on explicit stacks, so that nesting depth
     (X chains, parentheses, until chains) is not bounded by recursion."""
     alphabet = Alphabet(alphabet)
+    for a in alphabet:
+        if not _is_atom(a):  # else render would print what parse cannot read
+            raise ParseError("letter %r of the alphabet is not a lowercase letter" % a, 0)
     tokens = _tokenize(text)
     pos = 0
     operands = []
@@ -318,15 +325,7 @@ def subformulas(node):
     """The least subformula-closed set containing node, in pre-order of first
     occurrence (left before right), so bounded operators are indexed
     deterministically left-to-right."""
-    seen = {}
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n not in seen:
-            # a node seen before had its whole subtree visited then
-            seen[n] = None
-            stack += reversed(children(n))
-    return list(seen)
+    return reach([node], children)
 
 
 def is_ltl(node):

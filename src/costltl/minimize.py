@@ -62,7 +62,8 @@ class Quotient:
 
 def syntactic_quotient(rec):
     """Quotient of the generated part of the recognizer by the syntactic
-    congruence; the result is the minimal recognizer of the same function."""
+    congruence; the result is the minimal recognizer of the same function.
+    Expects a recognizer that passes validate_axioms (else: a bare KeyError)."""
     sg = rec.semigroup
     # the elements denoted by omega-sharp expressions over the letter images
     gens = []
@@ -139,7 +140,8 @@ def is_aperiodic(sg):
 
 def is_ltl_definable(rec):
     """A regular cost function is LTL<=-definable iff its minimal
-    stabilization semigroup is aperiodic."""
+    stabilization semigroup is aperiodic. Expects a recognizer that passes
+    validate_axioms, as syntactic_quotient does."""
     quotient = syntactic_quotient(rec)
     verdict, _ = is_aperiodic(quotient.recognizer.semigroup)
     return verdict

@@ -4,7 +4,7 @@ factorization trees, sharp expressions and their boundedness classification."""
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .core import FORMAT_HEADER, INF, order_closure, read_fields
+from .core import FORMAT_HEADER, INF, Alphabet, order_closure, read_fields
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,7 @@ class Recognizer:
             object.__setattr__(self, "height", 3 * len(self.semigroup.elements))
         if self.height < 1:
             raise ValueError("recognizer height must be at least 1, got %d" % self.height)
+        Alphabet(self.h)  # the letters of h follow the rule of every alphabet
         sg = self.semigroup
         for e in sg.elements:
             if sg.product.get((e, e)) == e and e not in sg.sharp:

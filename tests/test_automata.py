@@ -254,6 +254,31 @@ def test_rename_and_trim_preserve_function(fixture_automata):
             assert ev(trimmed, u) == ev(aut, u), (name, "trim", u)
 
 
+def test_trim_keeps_the_states_both_reachable_and_coreachable():
+    # u reaches the final q but is unreachable; d and w are reachable but
+    # reach no final state
+    aut = loads_automaton("""costltl-format 1
+automaton
+kind B
+alphabet ab
+states p d q u w
+initial p
+final q
+counters 1
+trans p a d : e
+trans p b q : ic
+trans q a p : e
+trans u a q : e
+trans q b w : e
+trans w a w : e
+""")
+    trimmed = trim(aut)
+    assert trimmed.states == ("p", "q")
+    assert trimmed.transitions == (("p", "b", (("ic",),), "q"), ("q", "a", (("e",),), "p"))
+    for u in all_words(4):
+        assert eval_b(trimmed, u) == eval_b(aut, u), u
+
+
 def test_validate_rejects_bad_automata(fixture_automata):
     aut = fixture_automata["count-letter-b.aut"]
 

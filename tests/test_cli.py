@@ -223,6 +223,10 @@ def test_compile_s_rejects_wrong_fragment(capsys, tmp_path, argv, message):
         ("a)", "trailing input (at position 1)"),
         (")", "unexpected token ) (at position 0)"),
     ]] + [
+    pytest.param([command, "--alphabet", "aB", "-f", "a U# END"] + rest,
+                 "letter 'B' of the alphabet is not a lowercase letter (at position 0)",
+                 id=command + "-alphabet aB")
+    for command, rest in [("eval", ["-w", "a"]), ("compile-s", ["-o", os.devnull])]] + [
     pytest.param(["semigroup", "classify", "-s", fixture("counting.sg"), "c"],
                  "letter 'c' has no image", id="classify-unmapped letter"),
     pytest.param(["semigroup", "classify", "-s", fixture("parity.sg"), "a^#"],
@@ -355,6 +359,21 @@ def test_undeclared_semigroup_name_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "semigroup", "recognize", "-s", str(path), "-w", "aab")
     assert code == 2 and out == ""
     assert "undeclared element 'zz'" in err
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "check"],
+                                  ["semigroup", "recognize", "-w", "ab"],
+                                  ["minimize", "-o", "quotient.sg"],
+                                  ["definable"]])
+def test_h_letter_that_is_not_one_symbol_exits_2(capsys, tmp_path, monkeypatch, argv):
+    with open(fixture("counting.sg"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\nh a a\n" in text
+    (tmp_path / "aa.sg").write_text(text.replace("\nh a a\n", "\nh aa a\n"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "-s", "aa.sg")
+    assert (code, out, err) == (2, "", "error: letters must be single symbols: 'aa'\n")
+    assert not (tmp_path / "quotient.sg").exists()
 
 
 def test_repeated_semigroup_line_exits_2(capsys, tmp_path):

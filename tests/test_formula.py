@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,12 +27,13 @@ from costltl import (
     sem_inf,
     sem_sup,
 )
-from costltl.formula import size, subformulas
+from costltl.formula import children, size, subformulas
 from conftest import AB, CORPUS_TEXTS, all_words, corpus
+from test_translate import _criterion9_distinct
 
 
-def _formulas(max_depth=4):
-    leaves = st.sampled_from([Atom("a"), Atom("b"), END])
+def _formulas(letters):
+    leaves = st.sampled_from([Atom(a) for a in letters] + [END])
     return st.recursive(
         leaves,
         lambda sub: st.one_of(
@@ -59,7 +61,7 @@ def test_render_parse_roundtrip_corpus():
 
 
 @settings(max_examples=200, deadline=None)
-@given(_formulas())
+@given(_formulas("ab"))
 def test_render_parse_roundtrip_random(phi):
     assert parse(render(phi), AB) == phi
 
@@ -67,6 +69,32 @@ def test_render_parse_roundtrip_random(phi):
 def test_parse_rejects_mixed_operators():
     with pytest.raises(ParseError):
         parse("(a U# b) & (a R# b)", AB)
+
+
+@st.composite
+def _lowercase_alphabet_and_formula(draw):
+    letters = draw(st.lists(st.sampled_from(string.ascii_lowercase + "éßω"),
+                            min_size=1, max_size=5, unique=True))
+    return "".join(letters), draw(_formulas(letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lowercase_alphabet_and_formula())
+def test_render_parse_roundtrip_over_lowercase_alphabets(alphabet_and_phi):
+    # dualize writes each !a as a disjunction over the other letters, so
+    # every letter of the alphabet is rendered
+    alphabet, phi = alphabet_and_phi
+    dual = dualize(phi, alphabet)
+    assert parse(render(phi), alphabet) is phi
+    assert parse(render(dual), alphabet) is dual
+
+
+@pytest.mark.parametrize("alphabet, bad", [("aB", "B"), ("a1", "1"), ("(a", "("),
+                                           ("ab_", "_"), ("ABc", "A")])
+def test_parse_rejects_a_letter_it_cannot_read_back(alphabet, bad):
+    with pytest.raises(ParseError) as exc:
+        parse("a", alphabet)
+    assert str(exc.value).startswith("letter %r of the alphabet" % bad)
 
 
 def test_parse_rejects_unknown_atom():
@@ -87,6 +115,26 @@ def test_derived_forms():
     assert parse("TRUE", AB) == true_formula(AB)
 
 
+def _recursive_subformulas(node, seen):
+    """Pre-order reference for subformulas: node, then each child's walk."""
+    if node not in seen:
+        seen[node] = None
+        for child in children(node):
+            _recursive_subformulas(child, seen)
+    return list(seen)
+
+
+def test_subformulas_match_recursive_preorder():
+    for phi in corpus() + _criterion9_distinct(60):
+        assert subformulas(phi) == _recursive_subformulas(phi, {}), render(phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas("ab"))
+def test_subformulas_match_recursive_preorder_random(phi):
+    assert subformulas(phi) == _recursive_subformulas(phi, {})
+
+
 def test_dualize_produces_pure_nltl():
     for phi in corpus():
         assert is_nltl(dualize(phi, AB))
@@ -103,7 +151,7 @@ def test_dualize_exact_on_short_words():
 
 
 @settings(max_examples=120, deadline=None)
-@given(_formulas(), st.text(alphabet="ab", max_size=5))
+@given(_formulas("ab"), st.text(alphabet="ab", max_size=5))
 def test_dualize_within_correction_random(phi, u):
     lo = sem_inf(phi, u)
     hi = sem_sup(dualize(phi, AB), u)
@@ -125,7 +173,7 @@ def _rebuilt(phi):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_formulas())
+@given(_formulas("ab"))
 def test_equal_formulae_are_one_object(phi):
     # hypothesis builds phi through the constructors; parse and a rebuild
     # must hand back the very same node

@@ -208,6 +208,24 @@ def test_recognizer_rejects_zero_height_and_unmapped_letter(counting):
         recognize(rec, "abc")
 
 
+@pytest.mark.parametrize("letter, message", [("aa", "single symbols: 'aa'"),
+                                             ("", "single symbols: ''"),
+                                             (" ", "blank letter ' '")])
+def test_recognizer_rejects_a_letter_that_is_not_one_symbol(counting, letter, message):
+    # built recognizers follow the rule of every alphabet
+    sg, rec = counting
+    with pytest.raises(ValueError, match=message):
+        Recognizer(sg, {**rec.h, letter: "a"}, rec.ideal)
+
+
+def test_loaded_recognizer_rejects_a_letter_that_is_not_one_symbol():
+    with open(fixture("counting.sg"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\nh a a\n" in text
+    with pytest.raises(ValueError, match="single symbols: 'aa'"):
+        loads_semigroup(text.replace("\nh a a\n", "\nh aa a\n"))
+
+
 def test_recognize_empty_word_rejected(counting):
     _, rec = counting
     with pytest.raises(ValueError):
