@@ -30,12 +30,9 @@ _S_SHARP = {"w": "w", "i": "w", "e": "e", "r": "r", "crw": "crw", "bot": "bot"}
 # Order: w <= i <= e <= r <= cr <= bot and e <= crw <= cr; r and crw incomparable.
 _S_COVERS = [("w", "i"), ("i", "e"), ("e", "r"), ("e", "crw"), ("r", "cr"), ("crw", "cr"), ("cr", "bot")]
 
-S_ACTIONS = make_semigroup(
-    S_ELEMS,
-    {(x, y): z for x, row in _S_TABLE.items() for y, z in zip(S_ELEMS, row)},
-    _S_COVERS, _S_SHARP, neutral="e")
+_PRODUCT = {(x, y): z for x, row in _S_TABLE.items() for y, z in zip(S_ELEMS, row)}
 
-_PRODUCT = S_ACTIONS.product
+S_ACTIONS = make_semigroup(S_ELEMS, _PRODUCT, _S_COVERS, _S_SHARP, neutral="e")
 
 
 def vec_product(x, y):

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
-from .core import FORMAT_HEADER, INF, Alphabet, reach, read_fields
+from .core import FORMAT_HEADER, INF, Alphabet, check_writable, reach, read_fields
 from .actions import contract_max
 
 B_TOKENS = ("e", "ic", "r")
@@ -303,10 +303,8 @@ def _parse_actions(text, counters):
 
 
 def dumps_automaton(aut):
-    for name in map(str, aut.states):
-        if not name or any(c.isspace() for c in name):
-            raise ValueError("state name %r cannot be written; rename_states gives "
-                             "writable names" % name)
+    check_writable("state", aut.states, "; rename_states gives writable names")
+    check_writable("letter", aut.alphabet, "")
     lines = [FORMAT_HEADER, "automaton", "kind %s" % aut.kind,
              "alphabet %s" % "".join(aut.alphabet.letters),
              "states %s" % " ".join(str(q) for q in aut.states),

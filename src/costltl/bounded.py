@@ -424,16 +424,15 @@ def language_recognizer(aut):
     rows = _Rows(_Actions(0), len(aut.states))
     images, initial, accept = _run_effects(aut, rows, aut.alphabet)
     elems = list(_closure(rows, images))
-    name = {E: "t%d" % i for i, E in enumerate(elems)}
-    product = {(name[E], name[F]): name[_elem_product(rows, E, F)]
-               for E in elems for F in elems}
-    sharp = {x: x for x in name.values() if product[(x, x)] == x}
-    sg = StabSemigroup(tuple(name.values()), product,
-                       frozenset((x, x) for x in name.values()), sharp)
+    number = {E: i for i, E in enumerate(elems)}
+    names = tuple(["t%d" % i for i in range(len(elems))])
+    table = tuple([tuple([number[_elem_product(rows, E, F)] for F in elems]) for E in elems])
+    sg = StabSemigroup(names, table, frozenset((x, x) for x in names),
+                       {x: x for i, x in enumerate(names) if table[i][i] == i})
     # with no counters, _elem_unbounded asks whether some run accepts
-    ideal = frozenset(name[E] for E in elems
+    ideal = frozenset(names[i] for i, E in enumerate(elems)
                       if _elem_unbounded(rows, initial, accept, E) == (aut.kind == "S"))
-    return Recognizer(sg, {a: name[E] for a, E in images.items()}, ideal)
+    return Recognizer(sg, {a: names[number[E]] for a, E in images.items()}, ideal)
 
 
 def bounded_closure(aut):

@@ -1,6 +1,6 @@
 """Extended naturals, alphabets, and the helpers every layer shares: the
 depth-first walk reach, the order closure, the set bits of a mask, the
-saturation of seeds into a stabilization semigroup, and the file readers."""
+saturation of seeds, and the file readers with their writable-name rule."""
 
 INF = float("inf")
 
@@ -112,6 +112,14 @@ def saturate(seeds, mul, sharp, gens):
 
 
 FORMAT_HEADER = "costltl-format 1"
+
+
+def check_writable(kind, names, hint):
+    """Raise ValueError, ending in hint, on the first of names a line-format
+    file cannot read back: an empty name, or one with whitespace or ':'."""
+    for name in map(str, names):
+        if name.split() != [name] or ":" in name:
+            raise ValueError("%s name %r cannot be written%s" % (kind, name, hint))
 
 
 def read_lines(text, kind=None):

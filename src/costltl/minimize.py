@@ -70,33 +70,31 @@ def syntactic_quotient(rec):
     gen = set(saturate(rec.h.values(), sg.mul, sg.sharp.__getitem__, gens))
     elems = tuple(x for x in sg.elements if x in gen)
     classes = congruence_classes(sg, rec.ideal, elems, gens)
-    rep = {}
-    members = {}  # representative (its first member) -> its class
-    for cls in classes:
-        members[cls[0]] = cls
-        for x in cls:
-            rep[x] = cls[0]
-    # classes come in order of their first members
-    class_elems = tuple(members)
+    # classes come in order of their first members, which name them
+    class_elems = tuple([cls[0] for cls in classes])
+    number = {x: k for k, cls in enumerate(classes) for x in cls}  # element -> class number
+    rep = {x: class_elems[k] for x, k in number.items()}
 
-    product = {}
-    for cx in class_elems:
-        for cy in class_elems:
-            values = {rep[sg.mul(x, y)] for x in members[cx] for y in members[cy]}
-            if len(values) != 1:
-                raise ValueError("product not well-defined on the quotient")
-            product[(cx, cy)] = values.pop()
+    def class_product(xs, ys):
+        values = {number[sg.mul(x, y)] for x in xs for y in ys}
+        if len(values) != 1:
+            raise ValueError("product not well-defined on the quotient")
+        return values.pop()
 
+    table = tuple([tuple([class_product(xs, ys) for ys in classes]) for xs in classes])
     sharp = {}
-    for cx in class_elems:
-        if product[(cx, cx)] == cx:
-            values = {rep[omega_sharp(sg, x)] for x in members[cx]}
+    for k, cls in enumerate(classes):
+        if table[k][k] == k:
+            values = {rep[omega_sharp(sg, x)] for x in cls}
             if len(values) != 1:
                 raise ValueError("sharp not well-defined on the quotient")
-            sharp[cx] = values.pop()
+            sharp[cls[0]] = values.pop()
 
-    order = _induced_order(class_elems, product, sharp, {rep[g] for g in gens})
-    qsg = StabSemigroup(class_elems, product, frozenset(order), sharp,
+    def mul(cx, cy):
+        return class_elems[table[number[cx]][number[cy]]]
+
+    order = _induced_order(class_elems, mul, sharp, {rep[g] for g in gens})
+    qsg = StabSemigroup(class_elems, table, frozenset(order), sharp,
                         rep.get(sg.neutral))
     q_ideal = frozenset(rep[x] for x in rec.ideal if x in rep)
     q_h = {a: rep[v] for a, v in rec.h.items()}
@@ -104,7 +102,7 @@ def syntactic_quotient(rec):
     return Quotient(q_rec, tuple(tuple(c) for c in classes), dict(rep))
 
 
-def _induced_order(elems, product, sharp, gens):
+def _induced_order(elems, mul, sharp, gens):
     """Least partial order with e# <= e, closed under product compatibility,
     sharp monotonicity, and transitivity. Compatibility with the products by
     gens, which generate elems, is compatibility with every product. Raises
@@ -115,8 +113,8 @@ def _induced_order(elems, product, sharp, gens):
         new = set()
         for (x, y) in leq:
             for z in gens:
-                new.add((product[(z, x)], product[(z, y)]))
-                new.add((product[(x, z)], product[(y, z)]))
+                new.add((mul(z, x), mul(z, y)))
+                new.add((mul(x, z), mul(y, z)))
             if x in sharp and y in sharp:
                 new.add((sharp[x], sharp[y]))
         if new <= leq:

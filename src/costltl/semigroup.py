@@ -2,21 +2,28 @@
 factorization trees, sharp expressions and their boundedness classification."""
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
-from .core import FORMAT_HEADER, INF, Alphabet, order_closure, read_fields
+from .core import FORMAT_HEADER, INF, Alphabet, check_writable, order_closure, read_fields
 
 
 @dataclass(frozen=True)
 class StabSemigroup:
+    """A finite stabilization semigroup whose product is table: table[i][j]
+    numbers the product of elements[i] and elements[j], and index maps each
+    element to its number. make_semigroup builds it from a product dict."""
     elements: tuple
-    product: dict  # (x, y) -> z
+    table: tuple  # rows of element numbers
     leq: frozenset  # pairs (x, y) meaning x <= y, reflexive-transitive
     sharp: dict  # partial, defined exactly on idempotents
     neutral: object = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "index", {x: k for k, x in enumerate(self.elements)})
+
     def mul(self, x, y):
-        return self.product[(x, y)]
+        index = self.index
+        return self.elements[self.table[index[x]][index[y]]]
 
     def le(self, x, y):
         return (x, y) in self.leq
@@ -27,44 +34,34 @@ class StabSemigroup:
     def idempotents(self):
         return [x for x in self.elements if self.is_idempotent(x)]
 
-    @cached_property
-    def _numbered(self):
-        """(index, table): index numbers the elements in order, and
-        table[x][y] is the number of the product of the elements numbered x
-        and y. Built on first use and kept, so the product dict must not be
-        changed after that."""
-        index = {x: k for k, x in enumerate(self.elements)}
-        product = self.product
-        return index, [[index[product[(x, y)]] for y in self.elements]
-                       for x in self.elements]
-
 
 def make_semigroup(elements, product, order_pairs, sharp, neutral=None):
-    """Build a StabSemigroup, closing the declared order reflexively and
+    """Build a StabSemigroup from product, a dict from every pair of elements
+    to their product, closing the declared order reflexively and
     transitively. Structural sanity only; run validate_axioms for the laws."""
     elements = tuple(elements)
+    index = {x: k for k, x in enumerate(elements)}
+    for x in elements:
+        for y in elements:
+            if (x, y) not in product:
+                raise ValueError("product undefined on (%s, %s)" % (x, y))
+            if product[(x, y)] not in index:
+                raise ValueError("product (%s, %s) leaves the element set" % (x, y))
+    # lists, not generators (see congruence_classes)
+    table = tuple([tuple([index[product[(x, y)]] for y in elements]) for x in elements])
     leq = order_closure(order_pairs, elements)
-    return StabSemigroup(elements, dict(product), frozenset(leq), dict(sharp), neutral)
+    return StabSemigroup(elements, table, frozenset(leq), dict(sharp), neutral)
 
 
 def validate_axioms(sg):
     diags = []
     elems = sg.elements
-    eset = set(elems)
-    for x in elems:
-        for y in elems:
-            if (x, y) not in sg.product:
-                diags.append("product undefined on (%s, %s)" % (x, y))
-            elif sg.product[(x, y)] not in eset:
-                diags.append("product (%s, %s) leaves the element set" % (x, y))
-    if diags:
-        return diags
     # row xy of the table must equal x times each entry of row y; only a
     # differing row is scanned for its first bad z
-    _, table = sg._numbered
+    table = sg.table
     for x, row in zip(elems, table):
         for y, xy, yrow in zip(elems, row, table):
-            xyz, x_yz = table[xy], [row[yz] for yz in yrow]
+            xyz, x_yz = table[xy], tuple([row[yz] for yz in yrow])
             if xyz != x_yz:
                 z = next(z for z, a, b in zip(elems, xyz, x_yz) if a != b)
                 diags.append("associativity fails on (%s, %s, %s)" % (x, y, z))
@@ -93,7 +90,7 @@ def validate_axioms(sg):
     if not idems <= sg.sharp.keys():
         return diags
     for e, es in sg.sharp.items():
-        if es not in eset:
+        if es not in sg.index:
             diags.append("sharp(%s) leaves the element set" % (e,))
             continue
         if not sg.le(es, e):
@@ -164,8 +161,12 @@ class Recognizer:
             raise ValueError("recognizer height must be at least 1, got %d" % self.height)
         Alphabet(self.h)  # the letters of h follow the rule of every alphabet
         sg = self.semigroup
+        for field, names in (("h", self.h.values()), ("ideal", sorted(self.ideal))):
+            for name in names:
+                if name not in sg.index:
+                    raise ValueError("%s names undeclared element %r" % (field, name))
         for e in sg.elements:
-            if sg.product.get((e, e)) == e and e not in sg.sharp:
+            if sg.is_idempotent(e) and e not in sg.sharp:
                 raise ValueError("idempotent %s has no sharp" % (e,))
         for s in self.ideal:
             for t in sg.elements:
@@ -214,7 +215,7 @@ def _threshold_masks(rec, w):
     if not w:
         raise ValueError("achievable_values needs a nonempty sequence")
     sg = rec.semigroup
-    index, table = sg._numbered
+    index, table = sg.index, sg.table
     m = len(w)
     width = m + 1  # one bit per threshold n = 0..m
     full = (1 << width) - 1
@@ -462,6 +463,7 @@ def classify(rec, e):
 
 
 def dumps_semigroup(sg, rec=None):
+    check_writable("element", sg.elements, "")
     lines = [FORMAT_HEADER, "semigroup",
              "elements %s" % " ".join(sg.elements)]
     if sg.neutral is not None:
@@ -514,8 +516,6 @@ def loads_semigroup(text):
         "product": [x for (row, _), v in product.items() for x in (row, v)],
         "order": [x for pair in order_pairs for x in pair],
         "sharp": [x for pair in sharp.items() for x in pair],
-        "h": list(h.values()),
-        "ideal": list(ideal or ()),
     }
     for field, names in references.items():
         for name in names:

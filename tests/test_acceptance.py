@@ -92,7 +92,7 @@ def test_criterion_04_action_algebra():
     sg, _ = load_semigroup(fixture("saction.sg"))
     from costltl.actions import S_ACTIONS, S_ELEMS
 
-    # dataclass equality: elements, product, order, sharp and neutral
+    # dataclass equality: elements, product table, order, sharp and neutral
     assert sg == S_ACTIONS
     mul = S_ACTIONS.mul
     for x, y, z in itertools.product(S_ELEMS, repeat=3):

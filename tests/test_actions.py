@@ -66,7 +66,7 @@ def test_order_is_partial_order():
 def test_fixture_table_matches_code_tables():
     sg, rec = load_semigroup(fixture("saction.sg"))
     assert rec is None
-    # dataclass equality: elements, product, order, sharp and neutral
+    # dataclass equality: elements, product table, order, sharp and neutral
     assert sg == S_ACTIONS
     assert S_ACTIONS.neutral == "e"
     assert validate_axioms(S_ACTIONS) == []
@@ -79,7 +79,7 @@ def test_random_single_entry_mutations_rejected():
     tried = 0
     while rejected < 20 and tried < 200:
         tried += 1
-        product = dict(sg.product)
+        product = {(x, y): sg.mul(x, y) for x in sg.elements for y in sg.elements}
         key = rng.choice(sorted(product))
         new = rng.choice(sg.elements)
         if new == product[key]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from costltl import (
     INF,
+    Alphabet,
     CostAutomaton,
     contract_b,
     dualize,
@@ -242,6 +243,19 @@ def test_dumps_rejects_unwritable_state_names():
     assert loads_automaton(dumps_automaton(renamed)) == renamed
     with pytest.raises(ValueError, match="rename_states"):
         dumps_automaton(dataclasses.replace(renamed, states=renamed.states + ("",)))
+
+
+@pytest.mark.parametrize("states, letters, message", [
+    (("p:1", "q"), "ab", "state name 'p:1' cannot be written"),
+    (("p", "q"), "a:", "letter name ':' cannot be written"),
+])
+def test_dumps_rejects_a_colon_in_a_state_or_letter(states, letters, message):
+    # the line "trans p:1 a q :" or "trans p : q :" would not read back
+    p, q = states
+    aut = CostAutomaton("B", Alphabet(letters), states, frozenset([p]), frozenset([q]), 0,
+                        ((p, letters[-1], (), q),))
+    with pytest.raises(ValueError, match=message):
+        dumps_automaton(aut)
 
 
 def test_rename_and_trim_preserve_function(fixture_automata):

@@ -15,6 +15,7 @@ from costltl import (
     CostAutomaton,
     language_recognizer,
     ltl_to_b,
+    make_semigroup,
     parse,
     recognize,
     sem_inf,
@@ -146,3 +147,11 @@ def test_recognizer_matches_run_enumeration(aut):
     for u in all_words(5, min_len=1):
         assert recognize(rec, u) == enum_eval(aut, u), u
     assert len(syntactic_quotient(rec).classes) == _oracle_syntactic_size(aut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_counterless_automata())
+def test_make_semigroup_rebuilds_a_language_recognizer_from_its_products(aut):
+    sg = language_recognizer(aut).semigroup
+    product = {(x, y): sg.mul(x, y) for x in sg.elements for y in sg.elements}
+    assert make_semigroup(sg.elements, product, sg.leq, sg.sharp, sg.neutral) == sg

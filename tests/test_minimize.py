@@ -180,7 +180,7 @@ def _assert_generators_suffice(rec):
     q = syntactic_quotient(rec)
     assert list(q.classes) == congruence_classes(sg, rec.ideal, elems, elems)
     qsg = q.recognizer.semigroup
-    assert qsg.leq == _induced_order(qsg.elements, qsg.product, qsg.sharp, qsg.elements)
+    assert qsg.leq == _induced_order(qsg.elements, qsg.mul, qsg.sharp, qsg.elements)
     assert validate_axioms(qsg) == []
 
 

@@ -1,7 +1,9 @@
 """Stabilization semigroups: axioms, recognition by factorization trees,
 #-expressions, and the file format."""
 
+import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,10 +170,38 @@ def test_serialization_roundtrip(counting, parity):
 def test_save_keeps_old_file_when_dump_fails(tmp_path):
     path = tmp_path / "old.sg"
     path.write_text("old content\n", encoding="utf-8")
-    partial = make_semigroup(("a", "b"), {("a", "a"): "a"}, [], {})
-    with pytest.raises(KeyError):
-        save_semigroup(partial, str(path))
+    spaced = make_semigroup(("a b",), {("a b", "a b"): "a b"}, [], {"a b": "a b"})
+    with pytest.raises(ValueError, match="element name 'a b' cannot be written"):
+        save_semigroup(spaced, str(path))
     assert path.read_text(encoding="utf-8") == "old content\n"
+
+
+@pytest.mark.parametrize("name", ["x:y", "x y", ""])
+def test_dumps_rejects_unwritable_element_names(name):
+    # "product x:y : ..." and "elements x y" would not read back
+    elems = ("b", name)
+    sg = make_semigroup(elems, {(x, y): "b" for x in elems for y in elems}, [], {"b": "b"})
+    message = "element name %s cannot be written" % re.escape(repr(name))
+    with pytest.raises(ValueError, match=message):
+        dumps_semigroup(sg)
+
+
+def test_make_semigroup_rejects_a_partial_or_escaping_product():
+    with pytest.raises(ValueError, match=re.escape("product undefined on (a, b)")):
+        make_semigroup(("a", "b"), {("a", "a"): "a"}, [], {})
+    full = {(x, y): "a" for x in "ab" for y in "ab"}
+    with pytest.raises(ValueError, match=re.escape("product (b, a) leaves the element set")):
+        make_semigroup(("a", "b"), {**full, ("b", "a"): "c"}, [], {})
+
+
+def product_dict(sg):
+    return {(x, y): sg.mul(x, y) for x in sg.elements for y in sg.elements}
+
+
+@pytest.mark.parametrize("name", ["saction.sg", "counting.sg", "parity.sg"])
+def test_make_semigroup_rebuilds_a_fixture_from_its_products(name):
+    sg, _ = load_semigroup(fixture(name))
+    assert make_semigroup(sg.elements, product_dict(sg), sg.leq, sg.sharp, sg.neutral) == sg
 
 
 def test_loads_rejects_malformed(counting):
@@ -224,6 +254,14 @@ def test_loaded_recognizer_rejects_a_letter_that_is_not_one_symbol():
     assert "\nh a a\n" in text
     with pytest.raises(ValueError, match="single symbols: 'aa'"):
         loads_semigroup(text.replace("\nh a a\n", "\nh aa a\n"))
+
+
+def test_recognizer_rejects_images_and_ideal_members_that_are_not_elements(counting):
+    sg, rec = counting
+    with pytest.raises(ValueError, match="h names undeclared element 'zz'"):
+        Recognizer(sg, {**rec.h, "a": "zz"}, rec.ideal)
+    with pytest.raises(ValueError, match="ideal names undeclared element 'ghost'"):
+        Recognizer(sg, rec.h, rec.ideal | {"ghost"})
 
 
 def test_recognize_empty_word_rejected(counting):
@@ -316,3 +354,32 @@ def test_validate_axioms_lists_each_bad_pair_once_in_order():
         "derived identity e.e# fails at aa",
         "(ab)# != a(ba)#b on (aa, aa)",
     ]
+
+
+def _mutant_diagnostics(count, seed):
+    """Lines naming each of count seeded single-entry product mutants of the
+    three fixture semigroups, each followed by its validate_axioms lines."""
+    rng = random.Random(seed)
+    names = ("saction.sg", "counting.sg", "parity.sg")
+    loaded = {name: load_semigroup(fixture(name))[0] for name in names}
+    lines = []
+    for k in range(count):
+        name = names[k % len(names)]
+        sg = loaded[name]
+        product = product_dict(sg)
+        x, y = rng.choice(sg.elements), rng.choice(sg.elements)
+        product[(x, y)] = z = rng.choice([v for v in sg.elements if v != product[(x, y)]])
+        mutant = make_semigroup(sg.elements, product, sg.leq, sg.sharp, sg.neutral)
+        lines.append("%s %s.%s=%s" % (name, x, y, z))
+        lines += validate_axioms(mutant)
+    return lines
+
+
+def test_validate_axioms_diagnostics_on_mutants_are_pinned():
+    """sha256 of the diagnostics of 400 product mutants, pinned when the
+    product was still a dict of name pairs: the product table must report
+    every law, and word it, as that dict did."""
+    lines = _mutant_diagnostics(400, 28)
+    assert sum(1 for ln in lines if " fails on " in ln) > 400
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a511c59e1d916137e2744774b548c5817746ef36c101a7099f9e5fa70118108c"
