@@ -12,7 +12,8 @@ import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
-from .core import FORMAT_HEADER, INF, Alphabet, check_writable, reach, read_fields
+from .core import (FORMAT_HEADER, INF, Alphabet, check_writable, reach, read_fields,
+                   read_int)
 from .actions import contract_max
 
 B_TOKENS = ("e", "ic", "r")
@@ -334,7 +335,7 @@ def loads_automaton(text):
             raise ValueError("missing field %r" % req)
     alphabet = Alphabet(fields["alphabet"])
     states = tuple(fields["states"].split())
-    counters = int(fields["counters"])
+    counters = read_int("counters", fields["counters"])
     trans = []
     for rest in fields["trans"]:
         head, _, actions = rest.partition(":")
@@ -344,17 +345,14 @@ def loads_automaton(text):
         src, letter, dst = parts
         trans.append((src, letter, _parse_actions(actions, counters), dst))
     final = frozenset(fields["final"].split())
-    custom = {}  # final state -> its exit lines, which replace the empty exit
+    custom = {}  # state -> its exit lines, which replace the empty exit
     for rest in fields["exit"]:
         head, _, actions = rest.partition(":")
-        q = head.strip()
-        if q not in final:
-            raise ValueError("exit on non-final state %r" % q)
-        custom.setdefault(q, []).append(_parse_actions(actions, counters))
+        custom.setdefault(head.strip(), []).append(_parse_actions(actions, counters))
     empty = tuple(() for _ in range(counters))
     epsilon = None
     if "epsilon" in fields:
-        epsilon = INF if fields["epsilon"] == "inf" else int(fields["epsilon"])
+        epsilon = INF if fields["epsilon"] == "inf" else read_int("epsilon", fields["epsilon"])
         if epsilon < 0:
             raise ValueError("negative epsilon value %d" % epsilon)
     aut = CostAutomaton(
@@ -365,7 +363,7 @@ def loads_automaton(text):
         final=final,
         counters=counters,
         transitions=tuple(trans),
-        exits={q: tuple(custom.get(q, [empty])) for q in final},
+        exits={q: tuple(custom.get(q, [empty])) for q in final.union(custom)},
         epsilon_value=epsilon,
     )
     diags = validate(aut)

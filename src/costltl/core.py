@@ -1,6 +1,7 @@
 """Extended naturals, alphabets, and the helpers every layer shares: the
 depth-first walk reach, the order closure, the set bits of a mask, the
-saturation of seeds, and the file readers with their writable-name rule."""
+saturation of seeds, and the file readers with their writable-name and
+integer rules."""
 
 INF = float("inf")
 
@@ -153,3 +154,12 @@ def read_fields(text, kind, once, many):
         else:
             fields[key] = rest.strip()
     return fields
+
+
+def read_int(field, text):
+    """The value of an integer field: an optional '-' and ASCII digits, not
+    the other forms int() takes ('1_0', '+1', '٣')."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("bad %s value %r" % (field, text))
+    return int(text)

@@ -4,14 +4,16 @@ factorization trees, sharp expressions and their boundedness classification."""
 from dataclasses import dataclass
 from functools import reduce
 
-from .core import FORMAT_HEADER, INF, Alphabet, check_writable, order_closure, read_fields
+from .core import (FORMAT_HEADER, INF, Alphabet, check_writable, order_closure, read_fields,
+                   read_int)
 
 
 @dataclass(frozen=True)
 class StabSemigroup:
     """A finite stabilization semigroup whose product is table: table[i][j]
     numbers the product of elements[i] and elements[j], and index maps each
-    element to its number. make_semigroup builds it from a product dict."""
+    element to its number. Data from outside the library enters through
+    make_semigroup, which checks its structure."""
     elements: tuple
     table: tuple  # rows of element numbers
     leq: frozenset  # pairs (x, y) meaning x <= y, reflexive-transitive
@@ -38,19 +40,38 @@ class StabSemigroup:
 def make_semigroup(elements, product, order_pairs, sharp, neutral=None):
     """Build a StabSemigroup from product, a dict from every pair of elements
     to their product, closing the declared order reflexively and
-    transitively. Structural sanity only; run validate_axioms for the laws."""
-    elements = tuple(elements)
+    transitively. The one check of structure: ValueError on an empty or
+    repeated element list, then on a name in neutral, product, order_pairs
+    or sharp that is no element, then on a missing product. Run
+    validate_axioms for the laws."""
+    elements = _elements(elements)
     index = {x: k for k, x in enumerate(elements)}
+    for field, names in (("neutral", [] if neutral is None else [neutral]),
+                         ("product", [x for xy, z in product.items() for x in xy + (z,)]),
+                         ("order", [x for pair in order_pairs for x in pair]),
+                         ("sharp", [x for pair in sharp.items() for x in pair])):
+        for name in names:
+            if name not in index:
+                raise ValueError("%s names undeclared element %r" % (field, name))
     for x in elements:
         for y in elements:
             if (x, y) not in product:
                 raise ValueError("product undefined on (%s, %s)" % (x, y))
-            if product[(x, y)] not in index:
-                raise ValueError("product (%s, %s) leaves the element set" % (x, y))
     # lists, not generators (see congruence_classes)
     table = tuple([tuple([index[product[(x, y)]] for y in elements]) for x in elements])
     leq = order_closure(order_pairs, elements)
     return StabSemigroup(elements, table, frozenset(leq), dict(sharp), neutral)
+
+
+def _elements(names):
+    """names as a tuple: nonempty, and no name twice."""
+    elements = tuple(names)
+    if not elements:
+        raise ValueError("missing elements")
+    if len(set(elements)) != len(elements):
+        raise ValueError("repeated element %r"
+                         % next(x for x in elements if elements.count(x) > 1))
+    return elements
 
 
 def validate_axioms(sg):
@@ -90,9 +111,6 @@ def validate_axioms(sg):
     if not idems <= sg.sharp.keys():
         return diags
     for e, es in sg.sharp.items():
-        if es not in sg.index:
-            diags.append("sharp(%s) leaves the element set" % (e,))
-            continue
         if not sg.le(es, e):
             diags.append("sharp(%s) not below %s" % (e, e))
         if sg.sharp.get(es) != es:
@@ -486,16 +504,12 @@ def dumps_semigroup(sg, rec=None):
 
 
 def loads_semigroup(text):
-    """Returns (semigroup, recognizer or None)."""
+    """Returns (semigroup, recognizer or None). Lines of a bad shape are
+    refused here; make_semigroup and Recognizer check the names in them."""
     fields = read_fields(text, "semigroup",
                          once=("elements", "neutral", "ideal", "height"),
                          many=("product", "order", "sharp", "h"))
-    elements = tuple(fields.get("elements", "").split())
-    if not elements:
-        raise ValueError("missing elements")
-    if len(set(elements)) != len(elements):
-        raise ValueError("repeated element %r"
-                         % next(x for x in elements if elements.count(x) > 1))
+    elements = _elements(fields.get("elements", "").split())
     neutral = fields.get("neutral")
     rows = []
     for rest in fields["product"]:
@@ -506,24 +520,11 @@ def loads_semigroup(text):
         rows.append((row.strip(), vals))
     product = {(row, y): v for row, vals in _mapping("product", rows).items()
                for y, v in zip(elements, vals)}
-    order_pairs = {_pair("order", rest) for rest in fields["order"]}
+    order_pairs = [_pair("order", rest) for rest in fields["order"]]
     sharp = _mapping("sharp", [_pair("sharp", rest) for rest in fields["sharp"]])
     h = _mapping("h", [_pair("h", rest) for rest in fields["h"]])
     ideal = frozenset(fields["ideal"].split()) if "ideal" in fields else None
-    height = int(fields["height"]) if "height" in fields else None
-    references = {
-        "neutral": [] if neutral is None else [neutral],
-        "product": [x for (row, _), v in product.items() for x in (row, v)],
-        "order": [x for pair in order_pairs for x in pair],
-        "sharp": [x for pair in sharp.items() for x in pair],
-    }
-    for field, names in references.items():
-        for name in names:
-            if name not in elements:
-                raise ValueError("%s names undeclared element %r" % (field, name))
-    for x in elements:
-        if (x, x) not in product:
-            raise ValueError("missing product row for %r" % x)
+    height = read_int("height", fields["height"]) if "height" in fields else None
     sg = make_semigroup(elements, product, order_pairs, sharp, neutral)
     rec = None
     if h or ideal is not None:

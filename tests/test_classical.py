@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from costltl import (
     INF,
     CostAutomaton,
+    dumps_semigroup,
     language_recognizer,
+    loads_semigroup,
     ltl_to_b,
     make_semigroup,
     parse,
@@ -152,6 +154,9 @@ def test_recognizer_matches_run_enumeration(aut):
 @settings(max_examples=60, deadline=None)
 @given(_counterless_automata())
 def test_make_semigroup_rebuilds_a_language_recognizer_from_its_products(aut):
-    sg = language_recognizer(aut).semigroup
+    rec = language_recognizer(aut)
+    sg = rec.semigroup
     product = {(x, y): sg.mul(x, y) for x in sg.elements for y in sg.elements}
     assert make_semigroup(sg.elements, product, sg.leq, sg.sharp, sg.neutral) == sg
+    # and so does the loader, from the products that the dump writes
+    assert loads_semigroup(dumps_semigroup(sg, rec)) == (sg, rec)

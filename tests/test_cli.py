@@ -454,6 +454,25 @@ def test_negative_epsilon_value_exits_2(capsys, tmp_path):
     assert "negative epsilon value -3" in err
 
 
+@pytest.mark.parametrize("value", ["1_0", "x", "\u0663"])
+@pytest.mark.parametrize("name, line, argv", [
+    ("count-letter-s.aut", "counters 1", ["eval-aut", "-w", "aa", "-a"]),
+    ("epsilon-s.aut", "epsilon 3", ["eval-aut", "-w", "", "-a"]),
+    ("counting.sg", "height 9", ["semigroup", "recognize", "-w", "ab", "-s"]),
+], ids=["counters", "epsilon", "height"])
+def test_integer_field_takes_only_ascii_digits(capsys, tmp_path, value, name, line, argv):
+    # int() read 1_0 as 10 and the Arabic-Indic digit three as 3
+    with open(fixture(name), encoding="utf-8") as fh:
+        text = fh.read()
+    field = line.split()[0]
+    assert "\n%s\n" % line in text
+    path = tmp_path / name
+    path.write_text(text.replace("\n%s\n" % line, "\n%s %s\n" % (field, value)), encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: bad %s value %r\n" % (field, value)
+
+
 def test_empty_elements_line_exits_2(capsys, tmp_path):
     path = tmp_path / "empty.sg"
     path.write_text("costltl-format 1\nsemigroup\nelements\n", encoding="utf-8")
@@ -529,7 +548,7 @@ def test_missing_product_row_exits_2(capsys, tmp_path, argv):
     path.write_text(NO_PRODUCT_ROW, encoding="utf-8")
     code, out, err = run(capsys, *argv, "-s", str(path))
     assert code == 2 and out == ""
-    assert "missing product row for 'b'" in err
+    assert "product undefined on (b, a)" in err
 
 
 @pytest.mark.parametrize("argv", [["semigroup", "recognize", "-w", "ab"],

@@ -13,6 +13,7 @@ from costltl import (
     is_ltl_definable,
     language_recognizer,
     load_semigroup,
+    loads_semigroup,
     ltl_to_b,
     make_semigroup,
     parse,
@@ -168,6 +169,7 @@ def test_fixture_quotients_are_pinned(name):
     classes, text = _FIXTURE_QUOTIENTS[name]
     assert q.classes == classes
     assert dumps_semigroup(q.recognizer.semigroup, q.recognizer) == text
+    assert loads_semigroup(text) == (q.recognizer.semigroup, q.recognizer)
 
 
 def _assert_generators_suffice(rec):

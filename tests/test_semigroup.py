@@ -190,8 +190,30 @@ def test_make_semigroup_rejects_a_partial_or_escaping_product():
     with pytest.raises(ValueError, match=re.escape("product undefined on (a, b)")):
         make_semigroup(("a", "b"), {("a", "a"): "a"}, [], {})
     full = {(x, y): "a" for x in "ab" for y in "ab"}
-    with pytest.raises(ValueError, match=re.escape("product (b, a) leaves the element set")):
+    with pytest.raises(ValueError, match="product names undeclared element 'c'"):
         make_semigroup(("a", "b"), {**full, ("b", "a"): "c"}, [], {})
+
+
+ONE = {("a", "a"): "a"}
+
+
+@pytest.mark.parametrize("args, message", [
+    ((["a"], ONE, [], {"a": "a"}, "z"), "neutral names undeclared element 'z'"),
+    ((["a"], {**ONE, ("a", "z"): "a"}, [], {"a": "a"}), "product names undeclared element 'z'"),
+    ((["a"], {("a", "a"): "z"}, [], {"a": "a"}), "product names undeclared element 'z'"),
+    ((["a"], ONE, [("a", "z")], {"a": "a"}), "order names undeclared element 'z'"),
+    ((["a"], ONE, [], {"a": "a", "z": "a"}), "sharp names undeclared element 'z'"),
+    ((["a"], ONE, [], {"a": "z"}), "sharp names undeclared element 'z'"),
+    (([], {}, [], {}), "missing elements"),
+    ((["a", "b", "a"], {(x, y): "a" for x in "ab" for y in "ab"}, [], {"a": "a"}),
+     "repeated element 'a'"),
+], ids=["neutral", "product key", "product value", "order", "sharp key", "sharp value",
+        "empty", "repeated"])
+def test_make_semigroup_rejects_names_that_are_not_elements(args, message):
+    # unchecked, a foreign name reaches validate_axioms as a bare KeyError or
+    # stays in the semigroup unseen, and a repeated element skews the table
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_semigroup(*args)
 
 
 def product_dict(sg):
