@@ -8,7 +8,7 @@ classification), 2 for usage or input errors.
 import argparse
 import sys
 
-from .core import INF, Alphabet, read_lines
+from .core import INF, Alphabet, read_int, read_lines
 from .formula import parse, render, dualize, is_ltl, is_nltl
 from .semantics import sem_inf, sem_sup
 from .automata import (
@@ -141,7 +141,7 @@ def _cmd_semigroup(args):
     sg, rec = _load_recognizer(args.semigroup)
     if args.subcommand == "recognize":
         if args.height is not None:
-            rec = Recognizer(sg, rec.h, rec.ideal, args.height)
+            rec = Recognizer(sg, rec.h, rec.ideal, read_int("height", args.height))
         print(_fmt(recognize(rec, tuple(args.word))))
         return 0
     verdict = classify(rec, parse_expr(args.expr))
@@ -290,7 +290,7 @@ def build_parser():
     q.set_defaults(func=_cmd_semigroup)
     q = ssub.add_parser("recognize", help="value of a word under a recognizer")
     common(q, word=True, semigroup=True)
-    q.add_argument("--height", type=int)
+    q.add_argument("--height")
     q.set_defaults(func=_cmd_semigroup)
     q = ssub.add_parser("classify", help="classify a sharp expression")
     common(q, semigroup=True)

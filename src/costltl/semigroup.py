@@ -211,24 +211,31 @@ def achievable_values(rec, w, n):
 
 def _threshold_masks(rec, w):
     """Value -> bitmask over n in [0, len(w)] of the n-trees of height
-    <= rec.height over all of w, for every threshold in one interval DP.
+    <= rec.height over all of w, for every threshold in one DP.
 
     Leaves and binary products (whose mask is the AND of its children's) are
     the same at every n. An idempotent node over k >= 2 parts equal to e
     holds for n >= k; a stabilization node over k parts, of value e sharp,
     holds for n < k (at n = 0 a single part already counts as many).
 
-    Round t adds the trees of height t. It is semi-naive: vals[i][j] maps
-    the number of each value of [i, j) to its mask, and delta[i][j] holds the
-    bits that the last round added to it. A product then needs only
+    The DP keeps one int per start i and value, its row over (end,
+    threshold): bit j * width + n of vals[i][z] is set when some tree over
+    [i, j) has value z at threshold n. So one product covers every end: the
+    mask of [i, mid), copied into each end block by one multiplication by
+    spread, ANDed with a row of mid. A chain of e-parts from i is a row too,
+    one per part count k: k + 1 parts are k parts times an e-part, one such
+    product per split, and the masks of n >= k and n < k turn the row into
+    idempotent and stabilization bits. No int holds more than (m + 1)^2 bits.
+
+    Round t adds the trees of height t. It is semi-naive: delta[i] holds the
+    bits that the last round added to vals[i]. A product then needs only
     delta·vals and vals·delta, since (a|da) & (b|db) adds to a & b, which an
-    earlier round merged, only bits that those two cover. A chain of e-parts
-    from i reads only intervals inside [i, m), so it is rerun only from the
-    starts at or left of the rightmost start of a changed e-interval. It
-    keeps k parts at threshold n as bit k * width + n of one int per end, so
-    the mask of the next part, copied into every block, extends all counts
-    with one AND. New bits are merged when the round ends, so round t reads
-    only trees of height < t, and a round that adds no bit ends the DP.
+    earlier round merged, only bits that those two cover; a split where
+    neither side holds a delta bit is skipped. A chain from i reads only
+    rows of starts in [i, m), so it is rerun only from the starts at or left
+    of the rightmost start with new e bits. New bits are merged when the
+    round ends, so round t reads only trees of height < t, and a round that
+    adds no bit ends the DP.
     """
     if not w:
         raise ValueError("achievable_values needs a nonempty sequence")
@@ -237,74 +244,63 @@ def _threshold_masks(rec, w):
     m = len(w)
     width = m + 1  # one bit per threshold n = 0..m
     full = (1 << width) - 1
-    spread = sum(1 << k * width for k in range(m))  # copies a mask to blocks 0..m-1
-    below = sum(((1 << k) - 1) << k * width for k in range(1, m + 1))  # n < k
-    above = sum((full >> k << k) << k * width for k in range(2, m + 1))  # n >= k
-
-    def fold(x):  # the OR of x's blocks
-        out = 0
-        while x:
-            out |= x & full
-            x >>= width
-        return out
-
+    spread = sum(1 << j * width for j in range(width))  # copies a mask to ends 0..m
     idems = [(index[e], index[sg.sharp[e]]) for e in sg.idempotents()]
-    vals = [[{index[w[i]]: full} if j == i + 1 else {} for j in range(m + 1)]
-            for i in range(m)]
-    delta = [[dict(d) for d in row] for row in vals]
+    vals = [{index[x]: full << (i + 1) * width} for i, x in enumerate(w)]
+    delta = [dict(row) for row in vals]
     for _ in range(rec.height):
-        got = [[{} for _ in range(m + 1)] for _ in range(m)]
-        for i in range(m):
+        got = [{} for _ in range(m)]
+        for i, (row, drow, acc) in enumerate(zip(vals, delta, got)):
+            fresh = reduce(int.__or__, drow.values(), 0)
             for mid in range(i + 1, m):
-                left, dleft = vals[i][mid], delta[i][mid]
-                if not left:
+                shift = mid * width
+                right, dright = vals[mid], delta[mid]
+                if not (fresh >> shift & full or dright):
                     continue
-                for j in range(mid + 1, m + 1):
-                    for xs, ys in ((dleft, vals[mid][j]), (left, delta[mid][j])):
-                        if xs and ys:
-                            acc = got[i][j]
-                            for x, mx in xs.items():
-                                row = table[x]
-                                for y, my in ys.items():
-                                    both = mx & my
-                                    if both:
-                                        z = row[y]
-                                        acc[z] = acc.get(z, 0) | both
-        for e, es in idems:
-            last = max((i for i in range(m) for d in delta[i] if e in d), default=-1)
-            for i in range(last + 1):
-                parts = {i: full}  # end -> bit k * width + n: k parts at threshold n
-                for j in range(i + 1, m + 1):
-                    counts = 0
-                    for start, before in parts.items():
-                        me = vals[start][j].get(e, 0)
-                        if me:
-                            counts |= before & me * spread
-                    if not counts:
+                for x, rx in row.items():
+                    mx = rx >> shift & full
+                    if not mx:
                         continue
-                    counts <<= width
-                    parts[j] = counts
-                    acc = got[i][j]
-                    idem, stab = fold(counts & above), fold(counts & below)
-                    if idem:
-                        acc[e] = acc.get(e, 0) | idem
-                    if stab:
-                        acc[es] = acc.get(es, 0) | stab
+                    products = table[x]
+                    mx, dx = mx * spread, (drow.get(x, 0) >> shift & full) * spread
+                    for y, ry in right.items():
+                        both = dx & ry | mx & dright.get(y, 0)
+                        if both:
+                            z = products[y]
+                            acc[z] = acc.get(z, 0) | both
+        for e, es in idems:
+            last = max((i for i in range(m) if e in delta[i]), default=-1)
+            rows = [row.get(e, 0) for row in vals]
+            for i in range(last + 1):
+                # the row of [i, j) cut into k e-parts, for k = 1, 2, ...
+                chain, k, idem, stab = rows[i], 1, 0, 0
+                while chain:
+                    ge = spread * (full >> k << k)  # n >= k, in every end block
+                    idem |= chain & ge  # at k = 1, bits the part itself holds
+                    stab |= chain & ~ge
+                    nxt = 0
+                    for s in range(i + k, m):
+                        mask = chain >> s * width & full
+                        if mask and rows[s]:
+                            nxt |= mask * spread & rows[s]
+                    chain, k = nxt, k + 1
+                acc = got[i]  # a zero mask adds nothing at the merge
+                acc[e] = acc.get(e, 0) | idem
+                acc[es] = acc.get(es, 0) | stab  # es may be e
         grew = False
-        for i in range(m):
-            for j in range(i + 1, m + 1):
-                cur, new = vals[i][j], {}
-                for z, mz in got[i][j].items():
-                    mz &= ~cur.get(z, 0)
-                    if mz:
-                        new[z] = mz
-                        cur[z] = cur.get(z, 0) | mz
-                delta[i][j] = new
-                grew = grew or bool(new)
+        for i, (row, acc) in enumerate(zip(vals, got)):
+            new = {}
+            for z, mz in acc.items():
+                mz &= ~row.get(z, 0)
+                if mz:
+                    new[z] = mz
+                    row[z] = row.get(z, 0) | mz
+            delta[i] = new
+            grew = grew or bool(new)
         if not grew:
             break
-    elements = sg.elements
-    return {elements[z]: mz for z, mz in vals[0][m].items()}
+    elements, end = sg.elements, m * width
+    return {elements[z]: r >> end for z, r in vals[0].items() if r >> end}
 
 
 def recognize(rec, u):

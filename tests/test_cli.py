@@ -393,6 +393,15 @@ def test_bad_recognizer_input_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+def test_height_flag_takes_only_ascii_digits(capsys, value):
+    # argparse's int() read 1_0 as 10 and the Arabic-Indic digit three as 3
+    code, out, err = run(capsys, "semigroup", "recognize", "-s", fixture("counting.sg"),
+                         "--height", value, "-w", "abbaba")
+    assert (code, out) == (2, "")
+    assert err == "error: bad height value %r\n" % value
+
+
 def test_indented_comments_in_every_file_kind(capsys, tmp_path):
     for name in ("count-letter-b.aut", "counting.sg", "bounded-sample.ltl"):
         with open(fixture(name), encoding="utf-8") as fh:

@@ -357,6 +357,75 @@ def test_recognize_matches_scan_on_long_words():
             assert_matches_scan(_with_height(rec, height), u)
 
 
+@pytest.mark.parametrize("image", S_ELEMS)
+def test_one_letter_words_match_scan_on_every_action(image):
+    """A word of one letter, at heights 1-3: at n = 0 its single part
+    already counts as many, so an idempotent image also stabilizes there,
+    a bit in the first block of the row that the DP must keep."""
+    ideal = frozenset(x for x in S_ELEMS if S_ACTIONS.le(x, image))
+    for height in (1, 2, 3):
+        assert_matches_scan(Recognizer(S_ACTIONS, {"a": image}, ideal, height), "a")
+
+
+def test_parity_word_of_thirteen_letters_matches_scan_at_height_twelve():
+    """Thirteen letters at height 12, where the DP runs many rounds over
+    14-bit end blocks: taking the block of one end must not carry bits of
+    the next end's block."""
+    _, parity = load_semigroup(fixture("parity.sg"))
+    assert parity.height == 12
+    assert_matches_scan(parity, "a" * 13)
+
+
+def _recognition_inputs(seed):
+    """2,000 seeded (label, recognizer, word) triples: parity on a^1..a^24
+    and counting on words up to length 24, past the scan oracle's reach;
+    recognizers of the action_recognizers shape over S_ACTIONS; the
+    LONG_WORD_FORMULAS language recognizers. Each recognizer takes height
+    1, 2, 3 or its own."""
+    rng = random.Random(seed)
+    _, counting = load_semigroup(fixture("counting.sg"))
+    _, parity = load_semigroup(fixture("parity.sg"))
+    languages = [(text, language_recognizer(ltl_to_b(parse(text, AB), AB)))
+                 for text in LONG_WORD_FORMULAS]
+
+    def word(length):
+        return "".join(rng.choice("ab") for _ in range(length))
+
+    def some_height(rec):
+        return _with_height(rec, rng.choice((1, 2, 3, rec.height)))
+
+    inputs = [("parity", _with_height(parity, h), "a" * n)
+              for n in range(1, 25) for h in (1, 2, 3, parity.height)]
+    inputs += [("counting", some_height(counting), word(n)) for n in range(13, 25)]
+    inputs += [("counting", some_height(counting), word(rng.randint(1, 12)))
+               for _ in range(700)]
+    for _ in range(850):
+        h = {a: rng.choice(S_ELEMS) for a in "ab"}
+        tops = rng.sample(S_ELEMS, rng.randint(0, 3))
+        ideal = frozenset(x for x in S_ELEMS if any(S_ACTIONS.le(x, t) for t in tops))
+        label = "actions %s %s" % (sorted(h.items()), sorted(ideal))
+        inputs.append((label, some_height(Recognizer(S_ACTIONS, h, ideal)),
+                       word(rng.randint(1, 10))))
+    while len(inputs) < 2000:
+        text, rec = rng.choice(languages)
+        inputs.append((text, some_height(rec), word(rng.randint(1, 9))))
+    return inputs
+
+
+def test_recognition_outputs_are_pinned():
+    """sha256 of recognize and of achievable_values at every n in
+    [0, |u| + 1] on 2,000 seeded inputs, pinned on the DP that kept one
+    table per interval: any layout of the DP must reproduce every value."""
+    lines = []
+    for label, rec, u in _recognition_inputs(30):
+        w = rec.image(u)
+        lines.append("%s h=%d %s -> %s" % (label, rec.height, u, recognize(rec, u)))
+        lines += [" ".join(sorted(achievable_values(rec, w, n))) for n in range(len(w) + 2)]
+    assert len(lines) > 2000 * 3
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "426fb6a68e1c8ae6dd7b4ed6424ab6fdf051ef0b1df2a0cfe35843658775ab74"
+
+
 def test_validate_axioms_lists_each_bad_pair_once_in_order():
     """A hand-broken parity product: one associativity line per bad (x, y),
     naming its first bad z, in the order of the pairs, then the other laws."""
