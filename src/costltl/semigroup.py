@@ -75,6 +75,8 @@ def _elements(names):
 
 
 def validate_axioms(sg):
+    """One line per broken law of a stabilization semigroup, sharps defined
+    exactly on idempotents included; [] when sg keeps every law."""
     diags = []
     elems = sg.elements
     # row xy of the table must equal x times each entry of row y; only a
@@ -167,6 +169,8 @@ def omega_sharp(sg, s):
 
 @dataclass(frozen=True)
 class Recognizer:
+    """Letter map h and downward-closed ideal over a semigroup that passes
+    validate_axioms, which checks its laws, sharps included."""
     semigroup: StabSemigroup
     h: dict  # letter -> element
     ideal: frozenset
@@ -183,10 +187,7 @@ class Recognizer:
             for name in names:
                 if name not in sg.index:
                     raise ValueError("%s names undeclared element %r" % (field, name))
-        for e in sg.elements:
-            if sg.is_idempotent(e) and e not in sg.sharp:
-                raise ValueError("idempotent %s has no sharp" % (e,))
-        for s in self.ideal:
+        for s in sorted(self.ideal):
             for t in sg.elements:
                 if sg.le(t, s) and t not in self.ideal:
                     raise ValueError("ideal not downward-closed: %s <= %s" % (t, s))
@@ -198,15 +199,12 @@ class Recognizer:
         return [self.h[a] for a in u]
 
 
-def achievable_values(rec, w, n):
-    """Values of n-trees of height <= rec.height over the element sequence w.
-
-    Every n >= len(w) answers like len(w): no interval has more parts.
-    """
-    if n < 0:
-        raise ValueError("threshold must be at least 0, got %d" % n)
-    bit = 1 << min(n, len(w))
-    return frozenset(x for x, mask in _threshold_masks(rec, w).items() if mask & bit)
+def achievable_values(rec, w):
+    """Tuple of the values of the n-trees of height <= rec.height over the
+    element sequence w for n = 0..len(w), from one DP; every n >= len(w)
+    answers like the last entry, as no interval has more parts."""
+    masks = _threshold_masks(rec, w).items()
+    return tuple(frozenset(x for x, mask in masks if mask >> n & 1) for n in range(len(w) + 1))
 
 
 def _threshold_masks(rec, w):
@@ -305,7 +303,8 @@ def _threshold_masks(rec, w):
 
 def recognize(rec, u):
     """f(u) = least n at which no bounded-height n-tree value stays in the
-    accepting ideal; recognition is defined on nonempty words."""
+    accepting ideal; recognition is defined on nonempty words. Expects a
+    recognizer whose semigroup passes validate_axioms (else: a bare KeyError)."""
     if not u:
         raise ValueError("recognition defined on A+, not the empty word")
     w = rec.image(u)

@@ -250,12 +250,14 @@ def _scan_part_counts(ach, e, i, j, n):
 
 def assert_matches_scan(rec, u):
     """recognize and achievable_values at every n in [0, |u| + 2] agree with
-    the per-threshold scan; the scan's recognize answer is the least n in
-    [0, |u|] whose n-trees all avoid the ideal, else INF."""
+    the per-threshold scan, each n > |u| against the last entry; the scan's
+    recognize answer is the least n in [0, |u|] whose n-trees all avoid the
+    ideal, else INF."""
     w = rec.image(u)
     scans = [scan_achievable_values(rec, w, n) for n in range(len(w) + 3)]
-    for n, values in enumerate(scans):
-        assert achievable_values(rec, w, n) == values, (u, n)
+    values = achievable_values(rec, w)
+    for n, scan in enumerate(scans):
+        assert values[min(n, len(w))] == scan, (u, n)
     expected = next((n for n in range(len(w) + 1) if not scans[n] & rec.ideal), INF)
     assert recognize(rec, u) == expected, u
 

@@ -509,7 +509,27 @@ def test_missing_sharp_exits_2(capsys, tmp_path, argv):
     path.write_text(NO_SHARP + "h a a\nideal a\n", encoding="utf-8")
     code, out, err = run(capsys, *argv, "-s", str(path))
     assert code == 2 and out == ""
-    assert "idempotent a has no sharp" in err
+    assert err == "error: sharp must be defined exactly on idempotents: a\n"
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["with-h-ideal", "without-h-ideal"])
+def test_missing_sharp_has_one_text_with_or_without_a_recognizer(capsys, tmp_path, block):
+    """counting.sg without its sharp b b line: check prints the
+    validate_axioms line and exits 1, and every command that loads the file
+    exits 2 with that line, whether or not the file has h and ideal lines."""
+    with open(fixture("counting.sg"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines.remove("sharp b b")
+    if not block:
+        lines = [ln for ln in lines if ln.split()[0] not in ("h", "ideal", "height")]
+    path = tmp_path / "nosharp.sg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "sharp must be defined exactly on idempotents: b\n"
+    assert run(capsys, "semigroup", "check", "-s", str(path)) == (1, text, "")
+    for argv in (["aperiodic"], ["semigroup", "recognize", "-w", "ab"],
+                 ["semigroup", "classify", "ab"], ["minimize", "-o", os.devnull],
+                 ["definable"]):
+        assert run(capsys, *argv, "-s", str(path)) == (2, "", "error: " + text), argv
 
 
 def test_repeated_element_and_state_names_exit_2(capsys, tmp_path):

@@ -73,22 +73,18 @@ def test_recognize_escape_threshold_is_tight(counting):
     # recognize is the least threshold whose trees all avoid the ideal
     for u in ["a", "aa", "baab", "ababa"]:
         v = recognize(rec, u)
-        w = tuple(rec.h[c] for c in u)
-        assert not (set(achievable_values(rec, w, v)) & rec.ideal)
+        values = achievable_values(rec, rec.image(u))
+        assert not (values[v] & rec.ideal)
         if v > 0:
-            assert set(achievable_values(rec, w, v - 1)) & rec.ideal
+            assert values[v - 1] & rec.ideal
 
 
 def test_achievable_values_monotone_shrinking(counting):
     # raising the threshold only removes stabilization opportunities
     _, rec = counting
-    w = tuple(rec.h[c] for c in "abaab")
-    prev = None
-    for n in range(6):
-        vals = set(achievable_values(rec, w, n))
-        if prev is not None:
-            assert vals <= prev, n
-        prev = vals
+    values = achievable_values(rec, rec.image("abaab"))
+    for n in range(1, len(values)):
+        assert values[n] <= values[n - 1], n
 
 
 def test_expr_parse_render_roundtrip(counting):
@@ -292,10 +288,21 @@ def test_recognize_empty_word_rejected(counting):
         recognize(rec, "")
 
 
-def test_achievable_values_rejects_negative_threshold(counting):
+def test_achievable_values_has_one_entry_per_threshold(counting):
+    # entry n for each n in [0, |w|]; every larger n reads the last one
     _, rec = counting
-    with pytest.raises(ValueError, match="threshold"):
-        achievable_values(rec, rec.image("ab"), -1)
+    for u in ["a", "ab", "abaab"]:
+        assert len(achievable_values(rec, rec.image(u))) == len(u) + 1
+    with pytest.raises(ValueError, match="nonempty sequence"):
+        achievable_values(rec, ())
+
+
+def test_recognizer_rejects_an_ideal_that_is_not_downward_closed(counting):
+    # bot <= a <= b in counting.sg, so an ideal holding a or b must hold bot;
+    # the first member by name is named, whatever the hash order
+    sg, rec = counting
+    with pytest.raises(ValueError, match="^ideal not downward-closed: bot <= a$"):
+        Recognizer(sg, rec.h, frozenset({"a", "b"}))
 
 
 @pytest.mark.parametrize("name", ["counting.sg", "parity.sg"])
@@ -415,12 +422,13 @@ def _recognition_inputs(seed):
 def test_recognition_outputs_are_pinned():
     """sha256 of recognize and of achievable_values at every n in
     [0, |u| + 1] on 2,000 seeded inputs, pinned on the DP that kept one
-    table per interval: any layout of the DP must reproduce every value."""
+    table per interval: any layout of the DP must reproduce every value.
+    n = |u| + 1 reads the last entry, as every n >= |u| does."""
     lines = []
     for label, rec, u in _recognition_inputs(30):
-        w = rec.image(u)
+        values = achievable_values(rec, rec.image(u))
         lines.append("%s h=%d %s -> %s" % (label, rec.height, u, recognize(rec, u)))
-        lines += [" ".join(sorted(achievable_values(rec, w, n))) for n in range(len(w) + 2)]
+        lines += [" ".join(sorted(values[min(n, len(u))])) for n in range(len(u) + 2)]
     assert len(lines) > 2000 * 3
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "426fb6a68e1c8ae6dd7b4ed6424ab6fdf051ef0b1df2a0cfe35843658775ab74"
