@@ -68,16 +68,15 @@ def validate(aut):
         if len(actions) != aut.counters:
             diags.append("transition %r -%s-> %r has %d action sequences, expected %d"
                          % (src, letter, dst, len(actions), aut.counters))
-        for seq in actions:
-            for a in seq:
-                if a not in tokens:
-                    diags.append("token %r invalid for a %s-automaton" % (a, aut.kind))
     for q, options in aut.exits.items():
         if q not in aut.final:
             diags.append("exit on non-final state %r" % (q,))
         for actions in options:
             if len(actions) != aut.counters:
                 diags.append("exit on %r has wrong counter arity" % (q,))
+    steps = [t[2] for t in aut.transitions] + [a for options in aut.exits.values() for a in options]
+    diags += ["token %r invalid for a %s-automaton" % (a, aut.kind)
+              for actions in steps for seq in actions for a in seq if a not in tokens]
     for q in aut.final:
         if q not in aut.exits:
             diags.append("final state %r has no exit" % (q,))
@@ -147,11 +146,16 @@ def _step(config, program):
 def _compile(aut):
     """The index _eval reads: step[q, letter] maps each distinct step program
     of the transitions of q on that letter to their destinations, and
-    exits[q] lists the exit programs of q."""
+    exits[q] lists the exit programs of q. ValueError on a token of the
+    other polarity, which _step would misread."""
     step = {}
     for src, a, actions, dst in aut.transitions:
         step.setdefault((src, a), {}).setdefault(_program(actions), []).append(dst)
     exits = {q: list(map(_program, options)) for q, options in aut.exits.items()}
+    programs = {p for by_program in step.values() for p in by_program}.union(*exits.values())
+    bad = {a for p in programs for _, a in p}.difference(B_TOKENS if aut.kind == "B" else S_TOKENS)
+    if bad:
+        raise ValueError("token %r invalid for a %s-automaton" % (min(bad), aut.kind))
     return step, exits
 
 

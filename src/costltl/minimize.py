@@ -63,6 +63,9 @@ class Quotient:
 def syntactic_quotient(rec):
     """Quotient of the generated part of the recognizer by the syntactic
     congruence; the result is the minimal recognizer of the same function.
+    One member stands for its class: stable under omega-sharp and under the
+    products by the generators, which give every element, the classes form
+    a congruence of the associative product.
     Expects a recognizer that passes validate_axioms (else: a bare KeyError)."""
     sg = rec.semigroup
     # the elements denoted by omega-sharp expressions over the letter images
@@ -74,21 +77,8 @@ def syntactic_quotient(rec):
     class_elems = tuple([cls[0] for cls in classes])
     number = {x: k for k, cls in enumerate(classes) for x in cls}  # element -> class number
     rep = {x: class_elems[k] for x, k in number.items()}
-
-    def class_product(xs, ys):
-        values = {number[sg.mul(x, y)] for x in xs for y in ys}
-        if len(values) != 1:
-            raise ValueError("product not well-defined on the quotient")
-        return values.pop()
-
-    table = tuple([tuple([class_product(xs, ys) for ys in classes]) for xs in classes])
-    sharp = {}
-    for k, cls in enumerate(classes):
-        if table[k][k] == k:
-            values = {rep[omega_sharp(sg, x)] for x in cls}
-            if len(values) != 1:
-                raise ValueError("sharp not well-defined on the quotient")
-            sharp[cls[0]] = values.pop()
+    table = tuple([tuple([number[sg.mul(x, y)] for y in class_elems]) for x in class_elems])
+    sharp = {x: rep[omega_sharp(sg, x)] for k, x in enumerate(class_elems) if table[k][k] == k}
 
     def mul(cx, cy):
         return class_elems[table[number[cx]][number[cy]]]
@@ -99,7 +89,7 @@ def syntactic_quotient(rec):
     q_ideal = frozenset(rep[x] for x in rec.ideal if x in rep)
     q_h = {a: rep[v] for a, v in rec.h.items()}
     q_rec = Recognizer(qsg, q_h, q_ideal, rec.height)
-    return Quotient(q_rec, tuple(tuple(c) for c in classes), dict(rep))
+    return Quotient(q_rec, tuple(classes), rep)
 
 
 def _induced_order(elems, mul, sharp, gens):

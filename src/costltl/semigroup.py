@@ -13,7 +13,9 @@ class StabSemigroup:
     """A finite stabilization semigroup whose product is table: table[i][j]
     numbers the product of elements[i] and elements[j], and index maps each
     element to its number. Data from outside the library enters through
-    make_semigroup, which checks its structure."""
+    make_semigroup, which checks its structure. The order is reflexive and
+    transitive by construction; validate_axioms checks its antisymmetry and
+    compatibility, and the sharp laws."""
     elements: tuple
     table: tuple  # rows of element numbers
     leq: frozenset  # pairs (x, y) meaning x <= y, reflexive-transitive
@@ -76,7 +78,8 @@ def _elements(names):
 
 def validate_axioms(sg):
     """One line per broken law of a stabilization semigroup, sharps defined
-    exactly on idempotents included; [] when sg keeps every law."""
+    exactly on idempotents included; [] when sg keeps every law. The order's
+    closure holds by construction (see StabSemigroup), so it is not checked."""
     diags = []
     elems = sg.elements
     # row xy of the table must equal x times each entry of row y; only a
@@ -89,9 +92,6 @@ def validate_axioms(sg):
                 z = next(z for z, a, b in zip(elems, xyz, x_yz) if a != b)
                 diags.append("associativity fails on (%s, %s, %s)" % (x, y, z))
     for x in elems:
-        if not sg.le(x, x):
-            diags.append("order not reflexive at %s" % (x,))
-    for x in elems:
         for y in elems:
             if x != y and sg.le(x, y) and sg.le(y, x):
                 diags.append("order not antisymmetric on (%s, %s)" % (x, y))
@@ -103,9 +103,6 @@ def validate_axioms(sg):
                     if not sg.le(sg.mul(x, z), sg.mul(y, z)):
                         diags.append("order incompatible: %s<=%s but %s.%s !<= %s.%s"
                                      % (x, y, x, z, y, z))
-                for z in elems:
-                    if sg.le(y, z) and not sg.le(x, z):
-                        diags.append("order not transitive on (%s, %s, %s)" % (x, y, z))
     idems = set(sg.idempotents())
     for x in elems:
         if (x in idems) != (x in sg.sharp):

@@ -10,7 +10,8 @@ from costltl import INF, Alphabet, achievable_values, eval_s, models, parse, rec
 from costltl.actions import S_ACTIONS
 from costltl.bounded import (MAX_ONTHEFLY_CONFIGS, BoundednessResult, _Actions, _Memo, _minimal,
                              compose_actions, contracted_edges)
-from costltl.semigroup import ECat, ELetter, EOmegaSharp
+from costltl.core import order_closure
+from costltl.semigroup import ECat, ELetter, EOmegaSharp, omega_sharp
 
 AB = Alphabet("ab")
 
@@ -454,3 +455,29 @@ def pairwise_saturate(seeds, mul, sharp):
                     found[z] = None
                     work.append(z)
     return list(found)
+
+
+# ---------------------------------------------------------------------------
+# Properties that the library makes by construction and no longer checks,
+# checked member by member: the oracles for the class table that
+# costltl.minimize.syntactic_quotient fills from one member per class, and
+# for the order closure that costltl.semigroup.validate_axioms leaves out.
+
+
+def assert_quotient_well_defined(rec, q):
+    """Every product of members of two classes lies in the class that the
+    quotient's table gives for them, and every member of an idempotent class
+    has the omega-sharp class that the quotient's sharp gives."""
+    sg, qsg = rec.semigroup, q.recognizer.semigroup
+    for xs in q.classes:
+        for ys in q.classes:
+            product = qsg.mul(xs[0], ys[0])
+            assert {q.class_of[sg.mul(x, y)] for x in xs for y in ys} == {product}, (xs, ys)
+    for e, es in qsg.sharp.items():
+        members = q.classes[qsg.index[e]]
+        assert {q.class_of[omega_sharp(sg, x)] for x in members} == {es}, members
+
+
+def assert_order_closed(sg):
+    """The order of sg is reflexive and transitive."""
+    assert order_closure(sg.leq, sg.elements) == sg.leq

@@ -13,6 +13,7 @@ from costltl import (
     INF,
     Alphabet,
     CostAutomaton,
+    bounded_onthefly,
     contract_b,
     dualize,
     dumps_automaton,
@@ -26,6 +27,7 @@ from costltl import (
     parse,
     rename_states,
     render,
+    run_semigroup_closure,
     sem_inf,
     sem_sup,
     trim,
@@ -306,6 +308,61 @@ def test_validate_rejects_bad_automata(fixture_automata):
         aut, transitions=(("q0", "a", (("cr",),), "q0"),) + aut.transitions[1:]
     )
     assert validate(bad_action)
+    # the arity and exit faults, which the loader's own parse refuses first
+    two_sequences = dataclasses.replace(
+        aut, transitions=(("q0", "a", (("ic",), ()), "q0"),) + aut.transitions[1:])
+    assert validate(two_sequences) == [
+        "transition 'q0' -a-> 'q0' has 2 action sequences, expected 1"]
+    assert validate(dataclasses.replace(aut, exits={"q0": ((),)})) == [
+        "exit on 'q0' has wrong counter arity"]
+    assert validate(dataclasses.replace(aut, exits={})) == ["final state 'q0' has no exit"]
+
+
+def test_evaluators_refuse_the_other_kind(fixture_automata):
+    b_aut, s_aut = fixture_automata["count-letter-b.aut"], fixture_automata["count-letter-s.aut"]
+    with pytest.raises(ValueError, match="^eval_b needs a B-automaton$"):
+        eval_b(s_aut, "ab")
+    with pytest.raises(ValueError, match="^eval_s needs an S-automaton$"):
+        eval_s(b_aut, "ab")
+    with pytest.raises(ValueError, match="^contract_b needs a B-automaton$"):
+        contract_b(s_aut)
+
+
+def _one_state(kind, transition=(), exit_=()):
+    """One state p, initial and final, with the loop p -a-> p and the exit
+    taking the given token sequences on the one counter."""
+    return CostAutomaton(kind=kind, alphabet=Alphabet("a"), states=("p",),
+                         initial=frozenset("p"), final=frozenset("p"), counters=1,
+                         transitions=(("p", "a", (transition,), "p"),),
+                         exits={"p": ((exit_,),)})
+
+
+@pytest.mark.parametrize("kind, transition, exit_, token", [
+    pytest.param("S", ("ic",), (), "ic", id="S-ic-on-transition"),
+    pytest.param("S", ("i",), ("ic",), "ic", id="S-ic-on-exit"),
+    pytest.param("B", ("cr",), (), "cr", id="B-cr-on-transition"),
+    pytest.param("B", ("ic",), ("i",), "i", id="B-i-on-exit"),
+])
+def test_a_token_of_the_other_polarity_raises_on_evaluation(kind, transition, exit_, token):
+    # built in process, so no loader ran validate: the evaluator refuses the
+    # token with validate's text instead of reading it as one of its own
+    # (_step would value aaa as inf on the S loop on ic, as 0 on the B loop
+    # on cr)
+    aut = _one_state(kind, transition, exit_)
+    message = "token '%s' invalid for a %s-automaton" % (token, kind)
+    assert validate(aut) == [message]
+    evaluate = eval_b if kind == "B" else eval_s
+    for u in ("", "aaa"):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            evaluate(aut, u)
+
+
+def test_boundedness_refuses_a_token_of_the_other_polarity():
+    # both searches value the empty word first, which compiles the automaton
+    aut = _one_state("S", ("ic",))
+    for decide in (bounded_onthefly, run_semigroup_closure):
+        with pytest.raises(ValueError, match="^token 'ic' invalid for a S-automaton$"):
+            decide(aut)
 
 
 def test_loads_rejects_malformed_input():
@@ -347,6 +404,8 @@ def test_loads_rejects_malformed_input():
     pytest.param("count-letter-s.aut", ("trans q0 a q0 : i", "trans q0 a : i"),
                  "bad transition 'q0 a : i'", id="count-letter-s.aut-bad transition"),
     ("count-letter-s.aut", "exit q0 : cr", "exit on non-final state 'q0'"),
+    # an exit's tokens follow the kind, as a transition's do
+    ("count-letter-s.aut", "exit qf : ic", "token 'ic' invalid for a S-automaton"),
     pytest.param("counting.sg", ("product b : bot a b", "product b : bot a"),
                  "bad product row 'b : bot a'", id="counting.sg-short product row"),
     pytest.param("counting.sg", ("ideal bot", "# no ideal line"),

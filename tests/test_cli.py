@@ -333,10 +333,12 @@ def test_corpus_runs_clean(capsys):
 
 def test_corpus_reports_formula_file_without_alphabet(capsys, tmp_path):
     (tmp_path / "noalpha.ltl").write_text("a U# END\n", encoding="utf-8")
+    # a file that is not .sg, .aut or .ltl is skipped without a row
+    (tmp_path / "notes.txt").write_text("not a costltl file\n", encoding="utf-8")
     code, out, _ = run(capsys, "corpus", str(tmp_path))
     assert code == 1
-    assert out.splitlines()[0].split(None, 2) == [
-        "noalpha.ltl", "fail", "formula file must start with 'alphabet <letters>'"]
+    assert [ln.split(None, 2) for ln in out.splitlines()] == [
+        ["noalpha.ltl", "fail", "formula file must start with 'alphabet <letters>'"]]
 
 
 def test_corpus_reports_a_search_out_of_budget_and_goes_on(capsys, tmp_path, monkeypatch):
@@ -602,3 +604,36 @@ def test_classify_has_no_height_option(capsys):
         main(["semigroup", "classify", "-s", fixture("counting.sg"), "--height", "3", "a^ws"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --height" in capsys.readouterr().err
+
+
+# Minimal .sg texts, each breaking one law that only a file can break, with
+# the lines semigroup check prints for it.
+@pytest.mark.parametrize("body, lines", [
+    # a zero semigroup whose two elements lie below each other
+    pytest.param("elements a b\nproduct a : a a\nproduct b : a a\norder a b\norder b a\n"
+                 "sharp a a\n",
+                 ["order not antisymmetric on (a, b)", "order not antisymmetric on (b, a)"],
+                 id="antisymmetry"),
+    # f absorbs e, and e# = f is not declared below e
+    pytest.param("elements e f\nproduct e : e f\nproduct f : f f\nsharp e f\nsharp f f\n",
+                 ["sharp(e) not below e"], id="sharp-below"),
+    # the chain g <= f <= e under min, with e# = f but f# = g
+    pytest.param("elements e f g\nproduct e : e f g\nproduct f : f f g\nproduct g : g g g\n"
+                 "order g f\norder f e\nsharp e f\nsharp f g\nsharp g g\n",
+                 ["sharp(sharp(e)) != sharp(e)"], id="sharp-idempotent"),
+    # the meet semilattice z <= e, g <= f, with e <= f but f# = g
+    pytest.param("elements f e g z\nproduct f : f e g z\nproduct e : e e z z\n"
+                 "product g : g z g z\nproduct z : z z z z\n"
+                 "order z e\norder z g\norder e f\norder g f\n"
+                 "sharp f g\nsharp e e\nsharp g g\nsharp z z\n",
+                 ["sharp not monotone on (e, f)"], id="sharp-monotone"),
+    # the neutral n stabilizes to the zero z below it
+    pytest.param("elements n z\nneutral n\nproduct n : n z\nproduct z : z z\norder z n\n"
+                 "sharp n z\nsharp z z\n",
+                 ["1# != 1"], id="neutral-sharp"),
+])
+def test_check_lists_the_law_that_a_file_breaks(capsys, tmp_path, body, lines):
+    path = tmp_path / "law.sg"
+    path.write_text("costltl-format 1\nsemigroup\n" + body, encoding="utf-8")
+    assert run(capsys, "semigroup", "check", "-s", str(path)) == (
+        1, "".join(line + "\n" for line in lines), "")

@@ -1,12 +1,15 @@
 """Syntactic-congruence minimization, aperiodicity, and definability."""
 
+import hashlib
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
 from costltl import (
+    CostAutomaton,
     Recognizer,
     dumps_semigroup,
     is_aperiodic,
@@ -23,7 +26,8 @@ from costltl import (
 from costltl.actions import S_ACTIONS, S_ELEMS
 from costltl.core import saturate
 from costltl.minimize import _induced_order, congruence_classes
-from conftest import AB, all_words, assert_matches_scan, fixture
+from conftest import (AB, all_words, assert_matches_scan, assert_order_closed,
+                      assert_quotient_well_defined, fixture)
 from test_classical import LANGUAGES, _counterless_automata
 
 
@@ -175,7 +179,8 @@ def test_fixture_quotients_are_pinned(name):
 def _assert_generators_suffice(rec):
     # the classes and the order of the quotient, closed over the generators
     # that saturation hands back, are those closed over every generated
-    # element and over every class, and the quotient passes its axioms
+    # element and over every class, and the quotient passes its axioms; its
+    # table and sharp hold for every member, and both orders are closed
     sg = rec.semigroup
     generated = set(saturate(rec.h.values(), sg.mul, sg.sharp.__getitem__, []))
     elems = tuple(x for x in sg.elements if x in generated)
@@ -184,6 +189,9 @@ def _assert_generators_suffice(rec):
     qsg = q.recognizer.semigroup
     assert qsg.leq == _induced_order(qsg.elements, qsg.mul, qsg.sharp, qsg.elements)
     assert validate_axioms(qsg) == []
+    assert_quotient_well_defined(rec, q)
+    assert_order_closed(sg)
+    assert_order_closed(qsg)
 
 
 def test_generators_suffice_on_fixtures_and_languages(counting_rec, parity_rec):
@@ -209,3 +217,56 @@ def test_generators_suffice_on_action_recognizers():
     for ha, hb in itertools.product(S_ELEMS, repeat=2):
         for ideal in ideals:
             _assert_generators_suffice(Recognizer(S_ACTIONS, {"a": ha, "b": hb}, ideal, 3))
+
+
+def test_orders_are_reflexive_and_transitive_by_construction():
+    # validate_axioms leaves the closure of the order out: every constructor
+    # makes it, make_semigroup and the quotient by order_closure and
+    # language_recognizer by taking the discrete order
+    loaded = [load_semigroup(fixture(name)) for name in ("counting.sg", "parity.sg", "saction.sg")]
+    recs = [rec for _, rec in loaded if rec is not None]
+    recs += [language_recognizer(ltl_to_b(parse(text, AB), AB)) for text, _ in LANGUAGES]
+    sgs = [sg for sg, _ in loaded] + [S_ACTIONS] + [rec.semigroup for rec in recs]
+    sgs += [syntactic_quotient(rec).recognizer.semigroup for rec in recs]
+    for sg in sgs:
+        assert_order_closed(sg)
+
+
+def _random_counterless_automaton(rng):
+    """A seeded draw of the _counterless_automata shape: B or S, 1-4 states,
+    up to 8 distinct transitions over {a, b}, any initial and final states."""
+    states = tuple("q%d" % i for i in range(rng.randint(1, 4)))
+    edges = [(p, a, (), q) for p in states for a in "ab" for q in states]
+    transitions = rng.sample(edges, rng.randint(0, min(8, len(edges))))
+    return CostAutomaton(kind=rng.choice("BS"), alphabet=AB, states=states,
+                         initial=frozenset(q for q in states if rng.random() < 0.5),
+                         final=frozenset(q for q in states if rng.random() < 0.5),
+                         counters=0, transitions=tuple(transitions))
+
+
+def _quotient_inputs(count, seed):
+    """(label, recognizer) pairs: the fixtures, the padded counting
+    semigroup, the LANGUAGES recognizers, then count seeded draws of
+    counter-free automata."""
+    rng = random.Random(seed)
+    inputs = [(name, load_semigroup(fixture(name))[1]) for name in ("counting.sg", "parity.sg")]
+    inputs.append(("padded counting", _padded_counting(inputs[0][1])))
+    inputs += [(text, language_recognizer(ltl_to_b(parse(text, AB), AB)))
+               for text, _ in LANGUAGES]
+    for k in range(count):
+        aut = _random_counterless_automaton(rng)
+        inputs.append(("draw %d" % k, language_recognizer(aut)))
+    return inputs
+
+
+def test_quotient_outputs_are_pinned():
+    """sha256 of each quotient's dump, classes and class map and of each
+    definability verdict, pinned when the class table multiplied every
+    member pair: a table filled from one member per class must agree."""
+    lines = []
+    for label, rec in _quotient_inputs(1500, 32):
+        q = syntactic_quotient(rec)
+        lines += [label, dumps_semigroup(q.recognizer.semigroup, q.recognizer), repr(q.classes),
+                  repr(sorted(q.class_of.items())), str(is_ltl_definable(rec))]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d4368fe9c2c629395f89b161b29ad5cc8b9ca3fd110e3685b825da429cc96fbb"
