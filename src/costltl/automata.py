@@ -22,6 +22,11 @@ S_TOKENS = ("e", "i", "r", "cr")
 
 @dataclass(frozen=True)
 class CostAutomaton:
+    """A B- or S-automaton. It checks itself when it is built, by the
+    constructor, dataclasses.replace or the loader alike: ValueError
+    "invalid automaton: ..." names every fault validate finds, so every
+    instance is one the evaluators and searches can read."""
+
     kind: str  # "B" or "S"
     alphabet: Alphabet
     states: tuple
@@ -44,11 +49,18 @@ class CostAutomaton:
         if self.exits is None:
             empty = tuple(() for _ in range(self.counters))
             object.__setattr__(self, "exits", {q: (empty,) for q in self.final})
+        diags = validate(self)
+        if diags:
+            raise ValueError("invalid automaton: " + "; ".join(diags))
 
 
 def validate(aut):
+    """The faults of aut, one line each: kind, counters, states, transitions,
+    exits, tokens of the other polarity, final states with no exit, then the
+    empty word's value. Building a CostAutomaton runs it: [] on every one."""
     diags = []
     states = set(aut.states)
+    letters = aut.alphabet.letters
     tokens = B_TOKENS if aut.kind == "B" else S_TOKENS
     if aut.kind not in ("B", "S"):
         diags.append("unknown kind %r" % (aut.kind,))
@@ -63,7 +75,7 @@ def validate(aut):
     for src, letter, actions, dst in aut.transitions:
         if src not in states or dst not in states:
             diags.append("dangling transition %r -> %r" % (src, dst))
-        if letter not in aut.alphabet:
+        if letter not in letters:
             diags.append("letter %r outside alphabet" % (letter,))
         if len(actions) != aut.counters:
             diags.append("transition %r -%s-> %r has %d action sequences, expected %d"
@@ -80,6 +92,8 @@ def validate(aut):
     for q in aut.final:
         if q not in aut.exits:
             diags.append("final state %r has no exit" % (q,))
+    if aut.epsilon_value is not None and aut.epsilon_value < 0:
+        diags.append("negative epsilon value %s" % (aut.epsilon_value,))
     return diags
 
 
@@ -146,16 +160,11 @@ def _step(config, program):
 def _compile(aut):
     """The index _eval reads: step[q, letter] maps each distinct step program
     of the transitions of q on that letter to their destinations, and
-    exits[q] lists the exit programs of q. ValueError on a token of the
-    other polarity, which _step would misread."""
+    exits[q] lists the exit programs of q."""
     step = {}
     for src, a, actions, dst in aut.transitions:
         step.setdefault((src, a), {}).setdefault(_program(actions), []).append(dst)
     exits = {q: list(map(_program, options)) for q, options in aut.exits.items()}
-    programs = {p for by_program in step.values() for p in by_program}.union(*exits.values())
-    bad = {a for p in programs for _, a in p}.difference(B_TOKENS if aut.kind == "B" else S_TOKENS)
-    if bad:
-        raise ValueError("token %r invalid for a %s-automaton" % (min(bad), aut.kind))
     return step, exits
 
 
@@ -291,20 +300,13 @@ def _fmt_actions(actions):
     return " | ".join(" ".join(seq) if seq else "-" for seq in actions)
 
 
-def _parse_actions(text, counters):
+def _parse_actions(text):
+    """The token tuple of each |-separated part, () for - or a blank one."""
     text = text.strip()
-    if counters == 0:
-        if text:
-            raise ValueError("actions given for a counterless automaton")
+    if not text:
         return ()
-    parts = text.split("|") if text else []
-    if len(parts) != counters:
-        raise ValueError("expected %d action sequences, got %r" % (counters, text))
-    out = []
-    for p in parts:
-        toks = p.split()
-        out.append(() if toks == ["-"] or not toks else tuple(toks))
-    return tuple(out)
+    return tuple(() if toks == ["-"] else tuple(toks)
+                 for toks in (p.split() for p in text.split("|")))
 
 
 def dumps_automaton(aut):
@@ -330,6 +332,8 @@ def dumps_automaton(aut):
 
 
 def loads_automaton(text):
+    """The automaton of a file's text: ValueError on a malformed line, and
+    from the CostAutomaton, which checks itself, on each fault it describes."""
     fields = read_fields(text, "automaton",
                          once=("kind", "alphabet", "states", "initial", "final",
                                "counters", "epsilon"),
@@ -347,19 +351,17 @@ def loads_automaton(text):
         if len(parts) != 3:
             raise ValueError("bad transition %r" % rest)
         src, letter, dst = parts
-        trans.append((src, letter, _parse_actions(actions, counters), dst))
+        trans.append((src, letter, _parse_actions(actions), dst))
     final = frozenset(fields["final"].split())
     custom = {}  # state -> its exit lines, which replace the empty exit
     for rest in fields["exit"]:
         head, _, actions = rest.partition(":")
-        custom.setdefault(head.strip(), []).append(_parse_actions(actions, counters))
+        custom.setdefault(head.strip(), []).append(_parse_actions(actions))
     empty = tuple(() for _ in range(counters))
     epsilon = None
     if "epsilon" in fields:
         epsilon = INF if fields["epsilon"] == "inf" else read_int("epsilon", fields["epsilon"])
-        if epsilon < 0:
-            raise ValueError("negative epsilon value %d" % epsilon)
-    aut = CostAutomaton(
+    return CostAutomaton(
         kind=fields["kind"],
         alphabet=alphabet,
         states=states,
@@ -370,10 +372,6 @@ def loads_automaton(text):
         exits={q: tuple(custom.get(q, [empty])) for q in final.union(custom)},
         epsilon_value=epsilon,
     )
-    diags = validate(aut)
-    if diags:
-        raise ValueError("invalid automaton: " + "; ".join(diags))
-    return aut
 
 
 def load_automaton(path):

@@ -46,7 +46,7 @@ from functools import lru_cache, partial, reduce
 
 from .core import INF, _bits, saturate
 from .actions import S_ACTIONS, vec_product, vec_leq
-from .automata import S_TOKENS, eval_s
+from .automata import eval_s
 from .formula import is_ltl, dualize
 from .semigroup import (StabSemigroup, Recognizer, ELetter, ECat, EOmegaSharp,
                         omega_sharp, instantiate)
@@ -62,15 +62,7 @@ MAX_CLOSURE_ELEMENTS = 200000  # run_semigroup_closure gives up past this many
 @lru_cache(maxsize=4096)
 def compose_actions(actions):
     """Composed semigroup element per counter of an action-sequence tuple."""
-    vec = []
-    for seq in actions:
-        x = S_ACTIONS.neutral
-        for tok in seq:
-            if tok not in S_TOKENS:
-                raise ValueError("unknown atomic S action %r" % (tok,))
-            x = S_ACTIONS.mul(x, tok)
-        vec.append(x)
-    return tuple(vec)
+    return tuple(reduce(S_ACTIONS.mul, seq, S_ACTIONS.neutral) for seq in actions)
 
 
 class _Memo(dict):

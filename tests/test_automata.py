@@ -296,26 +296,22 @@ trans w a w : e
 
 
 def test_validate_rejects_bad_automata(fixture_automata):
+    # a CostAutomaton checks itself when built, by replace as by the
+    # constructor, and names each fault in validate's words
     aut = fixture_automata["count-letter-b.aut"]
-
-    bad_letter = dataclasses.replace(
-        aut, transitions=aut.transitions + (("q0", "c", (("e",),), "q0"),)
-    )
-    assert validate(bad_letter)
-    bad_state = dataclasses.replace(aut, initial=frozenset({"nope"}))
-    assert validate(bad_state)
-    bad_action = dataclasses.replace(
-        aut, transitions=(("q0", "a", (("cr",),), "q0"),) + aut.transitions[1:]
-    )
-    assert validate(bad_action)
-    # the arity and exit faults, which the loader's own parse refuses first
-    two_sequences = dataclasses.replace(
-        aut, transitions=(("q0", "a", (("ic",), ()), "q0"),) + aut.transitions[1:])
-    assert validate(two_sequences) == [
-        "transition 'q0' -a-> 'q0' has 2 action sequences, expected 1"]
-    assert validate(dataclasses.replace(aut, exits={"q0": ((),)})) == [
-        "exit on 'q0' has wrong counter arity"]
-    assert validate(dataclasses.replace(aut, exits={})) == ["final state 'q0' has no exit"]
+    for changes, fault in [
+        ({"transitions": aut.transitions + (("q0", "c", (("e",),), "q0"),)},
+         "letter 'c' outside alphabet"),
+        ({"initial": frozenset({"nope"})}, "undeclared state 'nope'"),
+        ({"transitions": (("q0", "a", (("cr",),), "q0"),) + aut.transitions[1:]},
+         "token 'cr' invalid for a B-automaton"),
+        ({"transitions": (("q0", "a", (("ic",), ()), "q0"),) + aut.transitions[1:]},
+         "transition 'q0' -a-> 'q0' has 2 action sequences, expected 1"),
+        ({"exits": {"q0": ((),)}}, "exit on 'q0' has wrong counter arity"),
+        ({"exits": {}}, "final state 'q0' has no exit"),
+    ]:
+        with pytest.raises(ValueError, match="^invalid automaton: %s$" % fault):
+            dataclasses.replace(aut, **changes)
 
 
 def test_evaluators_refuse_the_other_kind(fixture_automata):
@@ -344,25 +340,151 @@ def _one_state(kind, transition=(), exit_=()):
     pytest.param("B", ("ic",), ("i",), "i", id="B-i-on-exit"),
 ])
 def test_a_token_of_the_other_polarity_raises_on_evaluation(kind, transition, exit_, token):
-    # built in process, so no loader ran validate: the evaluator refuses the
-    # token with validate's text instead of reading it as one of its own
-    # (_step would value aaa as inf on the S loop on ic, as 0 on the B loop
-    # on cr)
-    aut = _one_state(kind, transition, exit_)
-    message = "token '%s' invalid for a %s-automaton" % (token, kind)
-    assert validate(aut) == [message]
+    # _step would value aaa as inf on the S loop on ic and as 0 on the B
+    # loop on cr; building the automaton refuses the token, so no evaluator
+    # ever reads one
     evaluate = eval_b if kind == "B" else eval_s
-    for u in ("", "aaa"):
-        with pytest.raises(ValueError, match="^%s$" % message):
-            evaluate(aut, u)
+    with pytest.raises(ValueError, match="^invalid automaton: token '%s' invalid for a %s-automaton$"
+                       % (token, kind)):
+        evaluate(_one_state(kind, transition, exit_), "aaa")
 
 
 def test_boundedness_refuses_a_token_of_the_other_polarity():
-    # both searches value the empty word first, which compiles the automaton
-    aut = _one_state("S", ("ic",))
     for decide in (bounded_onthefly, run_semigroup_closure):
-        with pytest.raises(ValueError, match="^token 'ic' invalid for a S-automaton$"):
-            decide(aut)
+        with pytest.raises(ValueError,
+                           match="^invalid automaton: token 'ic' invalid for a S-automaton$"):
+            decide(_one_state("S", ("ic",)))
+
+
+def _construct(aut, **changes):
+    """aut with the given fields changed, built by the constructor."""
+    fields = {f.name: getattr(aut, f.name) for f in dataclasses.fields(aut)}
+    return CostAutomaton(**{**fields, **changes})
+
+
+# An S-automaton over ab counting its a's: p -a-> p : i, p -b-> p : - and
+# exit p : cr. Each fault below, planted in process, gave a wrong answer or
+# a bare KeyError or IndexError before the constructor ran validate.
+_COUNT_A = CostAutomaton("S", AB, ("p",), frozenset("p"), frozenset("p"), 1,
+                         (("p", "a", (("i",),), "p"), ("p", "b", ((),), "p")),
+                         {"p": ((("cr",),),)})
+
+
+@pytest.mark.parametrize("changes, fault", [
+    # bounded_onthefly answered the witness c^ws, a word eval_s refuses
+    pytest.param({"transitions": (("p", "c", (("i",),), "p"), ("p", "b", ((),), "p"))},
+                 "letter 'c' outside alphabet", id="foreign letter"),
+    # read as one counter, with no complaint
+    pytest.param({"counters": 2},
+                 "transition 'p' -a-> 'p' has 1 action sequences, expected 2; "
+                 "transition 'p' -b-> 'p' has 1 action sequences, expected 2; "
+                 "exit on 'p' has wrong counter arity", id="counters 2"),
+    # bounded_onthefly said bounded, run_semigroup_closure raised KeyError
+    pytest.param({"transitions": (("p", "a", (("i",),), "q"), ("p", "b", ((),), "p"))},
+                 "dangling transition 'p' -> 'q'", id="undeclared target"),
+    # eval_s raised IndexError, bounded_onthefly answered unbounded
+    pytest.param({"transitions": (("p", "a", (("i",), ("i",)), "p"), ("p", "b", ((),), "p"))},
+                 "transition 'p' -a-> 'p' has 2 action sequences, expected 1",
+                 id="two sequences"),
+    # these two gave 0 and bounded with no error
+    pytest.param({"exits": {}}, "final state 'p' has no exit", id="final without exit"),
+    pytest.param({"initial": frozenset("q")}, "undeclared state 'q'", id="undeclared initial"),
+    # eval_s gave -1 on the empty word
+    pytest.param({"epsilon_value": -1}, "negative epsilon value -1", id="negative epsilon"),
+])
+def test_in_process_faults_are_refused_when_built(changes, fault):
+    assert (eval_s(_COUNT_A, "aaa"), bounded_onthefly(_COUNT_A).bounded) == (3, False)
+    message = "^invalid automaton: %s$" % fault
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(_COUNT_A, **changes)
+    with pytest.raises(ValueError, match=message):
+        _construct(_COUNT_A, **changes)
+
+
+def _mutations(aut):
+    """The field changes that plant each fault validate names in aut, by
+    name. Transitions and exits keep their arity unless the fault is
+    arity, so each change plants its own fault."""
+    q, a = aut.states[0], aut.alphabet.letters[0]
+    empty = tuple(() for _ in range(aut.counters))
+    src, letter, actions, dst = aut.transitions[0]
+    rest = aut.transitions[1:]
+    f = min(aut.final)
+    other = "cr" if aut.kind == "B" else "ic"
+    return {
+        "foreign letter": {"transitions": aut.transitions + ((q, "c", empty, q),)},
+        "undeclared source": {"transitions": aut.transitions + (("zz", a, empty, q),)},
+        "undeclared target": {"transitions": aut.transitions + ((q, a, empty, "zz"),)},
+        "undeclared initial": {"initial": aut.initial | {"zz"}},
+        "transition arity": {"transitions": ((src, letter, actions + ((),), dst),) + rest},
+        "exit arity": {"exits": {**aut.exits, f: aut.exits[f] + (empty + ((),),)}},
+        "exit on non-final": {"exits": {**aut.exits, next(
+            (p for p in aut.states if p not in aut.final), "zz"): (empty,)}},
+        "final without exit": {"exits": {p: o for p, o in aut.exits.items() if p != f}},
+        "other token on transition": {
+            "transitions": ((src, letter, ((other,),) + actions[1:], dst),) + rest},
+        "other token on exit": {"exits": {**aut.exits, f: (((other,),) + empty[1:],)}},
+        "repeated state": {"states": aut.states + (q,)},
+        "unknown kind": {"kind": "X"},
+        "negative counters": {"counters": -1},
+    }
+
+
+def _fault_text(build):
+    """The ValueError text of build() if it raises, else validate's faults
+    in the same words, else ok."""
+    try:
+        aut = build()
+    except ValueError as exc:
+        return str(exc)
+    diags = validate(aut)
+    return "invalid automaton: " + "; ".join(diags) if diags else "ok"
+
+
+def _mutant_fault_texts(count, seed):
+    """One line per mutant: its base, its faults and its fault text. Each
+    fault is planted alone in each base, then count seeded mutants plant
+    one to three that change distinct fields; builds alternate between the
+    constructor and dataclasses.replace. Exits are sorted so that no text
+    depends on hash order."""
+    rng = random.Random(seed)
+    bases = {name: load_automaton(fixture(name)) for name in FIXTURE_AUTOMATA}
+    bases["one-state S"] = _one_state("S", ("i",), ("cr",))
+    bases["one-state B"] = _one_state("B", ("ic", "ic"), ("r",))
+    bases = {name: dataclasses.replace(aut, exits=dict(sorted(aut.exits.items())))
+             for name, aut in bases.items()}
+    plans = [(name, ()) for name in bases]
+    plans += [(name, (fault,)) for name in bases for fault in _mutations(bases[name])]
+    names = sorted(bases)
+    for _ in range(count):
+        name = rng.choice(names)
+        mutations = _mutations(bases[name])
+        faults, fields = [], set()
+        for fault in rng.sample(sorted(mutations), rng.randint(1, 3)):
+            if fields.isdisjoint(mutations[fault]):
+                faults.append(fault)
+                fields.update(mutations[fault])
+        plans.append((name, tuple(faults)))
+    lines = []
+    for k, (name, faults) in enumerate(plans):
+        mutations = _mutations(bases[name])
+        changes = {}
+        for fault in faults:
+            changes.update(mutations[fault])
+        build = dataclasses.replace if k % 2 else _construct
+        lines.append("%s [%s]: %s" % (name, ", ".join(faults),
+                                      _fault_text(lambda: build(bases[name], **changes))))
+    return lines
+
+
+def test_automaton_fault_texts_on_mutants_are_pinned():
+    """sha256 of the fault texts of in-process mutants, pinned when only
+    the loader ran validate: building must name every fault, and word it,
+    as validate did."""
+    lines = _mutant_fault_texts(300, 33)
+    assert sum(1 for ln in lines if ln.endswith(": ok")) == 7
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9b4e3362275ec861a8fb1bf4147fe16547fc8c9ee2a5c136b4dae90bcc22725a"
 
 
 def test_loads_rejects_malformed_input():
@@ -394,10 +516,12 @@ def test_loads_rejects_malformed_input():
                  "dangling transition 'q0' -> 'q9'",
                  id="count-letter-s.aut-dangling transition"),
     pytest.param("count-letter-s.aut", ("trans q0 a q0 : i", "trans q0 a q0 : i | e"),
-                 r"expected 1 action sequences, got 'i \| e'",
+                 "^invalid automaton: transition 'q0' -a-> 'q0' has 2 action sequences, "
+                 "expected 1$",
                  id="count-letter-s.aut-wrong arity"),
     pytest.param("count-letter-s.aut", ("counters 1", "counters 0"),
-                 "actions given for a counterless automaton",
+                 "^invalid automaton: transition 'q0' -a-> 'q0' has 1 action sequences, "
+                 "expected 0;",
                  id="count-letter-s.aut-counterless actions"),
     pytest.param("count-letter-s.aut", ("initial q0", "# no initial line"),
                  "missing field 'initial'", id="count-letter-s.aut-missing initial"),

@@ -170,10 +170,12 @@ def test_pumped_check_reset_loop_is_bounded():
     assert bounded_onthefly(aut) == bounded_closure(aut) == BoundednessResult(True, None)
 
 
-def test_compose_actions_rejects_non_atomic_token():
-    # w is an element of the action semigroup but no atomic action
-    with pytest.raises(ValueError, match="unknown atomic S action"):
-        compose_actions((("w",),))
+def test_s_automaton_with_token_w_cannot_be_built():
+    # w is an element of the action semigroup but no atomic action; the
+    # automaton refuses it when built, so compose_actions never meets it
+    with pytest.raises(ValueError, match="^invalid automaton: token 'w' invalid for a S-automaton$"):
+        CostAutomaton("S", AB, ("q",), frozenset("q"), frozenset("q"), 1,
+                      (("q", "a", (("w",),), "q"),))
 
 
 def test_checked_everywhere_automaton_is_bounded():

@@ -455,6 +455,19 @@ def test_blank_alphabet_letter_is_rejected_everywhere(capsys, tmp_path):
     assert all("blank letter" in detail for _, _, detail in rows)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--alphabet", "aa", "-f", "a", "-w", "a"], "alphabet has duplicate letters"),
+    (["eval", "--alphabet=", "-f", "a", "-w", "a"], "alphabet must be nonempty"),
+    (["eval", "--alphabet", "ab", "-f", "a", "-w", "abc"], "letter 'c' outside alphabet ab"),
+    (["eval-aut", "-a", fixture("count-letter-b.aut"), "-w", "abc"],
+     "letter 'c' outside alphabet ab"),
+    (["eval", "--alphabet", "ab", "-f", "(a", "-w", "a"],
+     "unexpected end of input (at position 2)"),
+], ids=["duplicate letters", "empty alphabet", "formula word", "automaton word", "cut short"])
+def test_bad_alphabet_word_or_formula_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
 def test_negative_epsilon_value_exits_2(capsys, tmp_path):
     with open(fixture("count-letter-b.aut"), encoding="utf-8") as fh:
         text = fh.read()

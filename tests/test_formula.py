@@ -217,3 +217,10 @@ def test_deep_formulae_parse_and_render(text, canonical, nodes, distinct):
     assert parse(canonical, AB) is phi
     assert size(phi) == nodes
     assert len(subformulas(phi)) == distinct
+
+
+def test_dualize_and_node_arity_refuse_with_their_texts():
+    with pytest.raises(ValueError, match="^dualize expects a pure LTL<= formula$"):
+        dualize(parse("a R# b", "ab"), "ab")
+    with pytest.raises(TypeError, match="^And takes 2 fields$"):
+        And(Atom("a"))

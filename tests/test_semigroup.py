@@ -123,6 +123,12 @@ def test_parse_expr_errors(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("k, n", [(0, 1), (1, 0)])
+def test_instantiate_needs_positive_exponents(k, n):
+    with pytest.raises(ValueError, match="^instantiate needs k, n >= 1$"):
+        instantiate(parse_expr("a^w"), k, n)
+
+
 def test_parse_expr_groups_and_superscripts():
     a, b, c, d = map(ELetter, "abcd")
     assert parse_expr(" (a (b c)^w)^# d^ws") == ECat(
