@@ -55,9 +55,11 @@ class CostAutomaton:
 
 
 def validate(aut):
-    """The faults of aut, one line each: kind, counters, states, transitions,
-    exits, tokens of the other polarity, final states with no exit, then the
-    empty word's value. Building a CostAutomaton runs it: [] on every one."""
+    """The faults of aut, one line each, in no hash order: kind, counters,
+    states (sorted by name), transitions, exits, tokens of the other polarity
+    (each distinct action tuple of the transitions, then of the exits, once),
+    final states with no exit, then the empty word's value. Building a
+    CostAutomaton runs it: [] on every one."""
     diags = []
     states = set(aut.states)
     letters = aut.alphabet.letters
@@ -69,7 +71,7 @@ def validate(aut):
     if len(states) != len(aut.states):
         diags.append("repeated state %r"
                      % next(q for q in aut.states if aut.states.count(q) > 1))
-    for q in aut.initial | aut.final:
+    for q in sorted(aut.initial | aut.final, key=str):
         if q not in states:
             diags.append("undeclared state %r" % (q,))
     for src, letter, actions, dst in aut.transitions:
@@ -86,10 +88,11 @@ def validate(aut):
         for actions in options:
             if len(actions) != aut.counters:
                 diags.append("exit on %r has wrong counter arity" % (q,))
-    steps = [t[2] for t in aut.transitions] + [a for options in aut.exits.values() for a in options]
+    steps = [*dict.fromkeys(t[2] for t in aut.transitions),
+             *dict.fromkeys(a for options in aut.exits.values() for a in options)]
     diags += ["token %r invalid for a %s-automaton" % (a, aut.kind)
               for actions in steps for seq in actions for a in seq if a not in tokens]
-    for q in aut.final:
+    for q in sorted(aut.final, key=str):
         if q not in aut.exits:
             diags.append("final state %r has no exit" % (q,))
     if aut.epsilon_value is not None and aut.epsilon_value < 0:
@@ -278,8 +281,7 @@ def trim(aut):
 
 
 def rename_states(aut):
-    """Rename states to q0, q1, ... in state order (translated automata have
-    set-valued state names that do not serialize)."""
+    """The automaton with its states renamed q0, q1, ... in state order."""
     name = {q: "q%d" % i for i, q in enumerate(aut.states)}
     return replace(
         aut,
@@ -311,7 +313,6 @@ def _parse_actions(text):
 
 def dumps_automaton(aut):
     check_writable("state", aut.states, "; rename_states gives writable names")
-    check_writable("letter", aut.alphabet, "")
     lines = [FORMAT_HEADER, "automaton", "kind %s" % aut.kind,
              "alphabet %s" % "".join(aut.alphabet.letters),
              "states %s" % " ".join(str(q) for q in aut.states),
@@ -352,7 +353,7 @@ def loads_automaton(text):
             raise ValueError("bad transition %r" % rest)
         src, letter, dst = parts
         trans.append((src, letter, _parse_actions(actions), dst))
-    final = frozenset(fields["final"].split())
+    final = fields["final"].split()  # a list: the exits below follow file order
     custom = {}  # state -> its exit lines, which replace the empty exit
     for rest in fields["exit"]:
         head, _, actions = rest.partition(":")
@@ -366,10 +367,10 @@ def loads_automaton(text):
         alphabet=alphabet,
         states=states,
         initial=frozenset(fields["initial"].split()),
-        final=final,
+        final=frozenset(final),
         counters=counters,
         transitions=tuple(trans),
-        exits={q: tuple(custom.get(q, [empty])) for q in final.union(custom)},
+        exits={q: tuple(custom.get(q, [empty])) for q in dict.fromkeys(final + list(custom))},
         epsilon_value=epsilon,
     )
 

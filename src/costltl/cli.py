@@ -11,25 +11,10 @@ import sys
 from .core import INF, Alphabet, read_int, read_lines
 from .formula import parse, render, dualize, is_ltl, is_nltl
 from .semantics import sem_inf, sem_sup
-from .automata import (
-    eval_b,
-    eval_s,
-    contract_b,
-    rename_states,
-    load_automaton,
-    save_automaton,
-)
+from .automata import eval_b, eval_s, contract_b, load_automaton, save_automaton
 from .translate import ltl_to_b, nltl_to_s
-from .semigroup import (
-    Recognizer,
-    validate_axioms,
-    recognize,
-    classify,
-    parse_expr,
-    render_expr,
-    load_semigroup,
-    save_semigroup,
-)
+from .semigroup import (Recognizer, validate_axioms, recognize, classify, parse_expr, render_expr,
+                        load_semigroup, save_semigroup)
 from .minimize import syntactic_quotient, is_aperiodic, is_ltl_definable
 from .bounded import (formula_automaton, bounded_formula, bounded_onthefly,
                       bounded_closure, witness_word, language_recognizer)
@@ -64,7 +49,7 @@ def _cmd_eval_aut(args):
 
 def _cmd_compile_b(args):
     phi, alphabet = _parse_formula(args)
-    aut = rename_states(ltl_to_b(phi, alphabet))
+    aut = ltl_to_b(phi, alphabet)
     if args.contract:
         aut, correction = contract_b(aut)
         if not args.porcelain:
@@ -84,7 +69,7 @@ def _cmd_compile_s(args):
         if not is_ltl(phi):
             raise ValueError("expected an LTL<= formula to dualize (or pass --nltl)")
         phi = dualize(phi, alphabet)
-    aut = rename_states(nltl_to_s(phi, alphabet))
+    aut = nltl_to_s(phi, alphabet)
     save_automaton(aut, args.out)
     if not args.porcelain:
         print("wrote %s (%d states, formula %s)" % (args.out, len(aut.states), render(phi)))

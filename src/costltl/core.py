@@ -7,8 +7,9 @@ INF = float("inf")
 
 
 class Alphabet:
-    """Nonempty finite set of single-symbol, non-blank letters, in
-    declaration order."""
+    """Nonempty finite set of single-symbol letters, in declaration order:
+    the one rule of what a letter is. No letter is blank or one of ( ) ^ :,
+    which sharp expressions and the file formats reserve."""
 
     def __init__(self, letters):
         letters = list(letters)
@@ -21,6 +22,8 @@ class Alphabet:
                 raise ValueError("letters must be single symbols: %r" % (a,))
             if a.isspace():
                 raise ValueError("blank letter %r in alphabet" % (a,))
+            if a in "()^:":
+                raise ValueError("reserved letter %r in alphabet" % (a,))
         self.letters = tuple(letters)
 
     def __contains__(self, a):

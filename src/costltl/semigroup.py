@@ -48,13 +48,10 @@ def make_semigroup(elements, product, order_pairs, sharp, neutral=None):
     validate_axioms for the laws."""
     elements = _elements(elements)
     index = {x: k for k, x in enumerate(elements)}
-    for field, names in (("neutral", [] if neutral is None else [neutral]),
-                         ("product", [x for xy, z in product.items() for x in xy + (z,)]),
-                         ("order", [x for pair in order_pairs for x in pair]),
-                         ("sharp", [x for pair in sharp.items() for x in pair])):
-        for name in names:
-            if name not in index:
-                raise ValueError("%s names undeclared element %r" % (field, name))
+    _check_declared(index, (("neutral", [] if neutral is None else [neutral]),
+                            ("product", [x for xy, z in product.items() for x in xy + (z,)]),
+                            ("order", [x for pair in order_pairs for x in pair]),
+                            ("sharp", [x for pair in sharp.items() for x in pair])))
     for x in elements:
         for y in elements:
             if (x, y) not in product:
@@ -74,6 +71,14 @@ def _elements(names):
         raise ValueError("repeated element %r"
                          % next(x for x in elements if elements.count(x) > 1))
     return elements
+
+
+def _check_declared(index, fields):
+    """ValueError on the first name of the (field, names) pairs not in index."""
+    for field, names in fields:
+        for name in names:
+            if name not in index:
+                raise ValueError("%s names undeclared element %r" % (field, name))
 
 
 def validate_axioms(sg):
@@ -180,10 +185,7 @@ class Recognizer:
             raise ValueError("recognizer height must be at least 1, got %d" % self.height)
         Alphabet(self.h)  # the letters of h follow the rule of every alphabet
         sg = self.semigroup
-        for field, names in (("h", self.h.values()), ("ideal", sorted(self.ideal))):
-            for name in names:
-                if name not in sg.index:
-                    raise ValueError("%s names undeclared element %r" % (field, name))
+        _check_declared(sg.index, (("h", self.h.values()), ("ideal", sorted(self.ideal))))
         for s in sorted(self.ideal):
             for t in sg.elements:
                 if sg.le(t, s) and t not in self.ideal:

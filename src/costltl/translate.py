@@ -11,7 +11,7 @@ _fold, over the steps that one of the two tables gives.
 Each translation numbers its universe, the subformulae of its input and
 Next(psi) for each until-like subformula psi, once in (size, render) order. A
 pseudo-state is an int with bit i for the i-th node, so its largest member is
-its highest set bit; only reachable states become sets of formulae.
+its highest set bit. Reachable states are named q0, q1, ... by size, then bits.
 """
 
 from .core import Alphabet, _bits
@@ -76,6 +76,20 @@ def _rules(psi, bit, index):
             [(right, ()), (0, ((j, "cr"),))])
 
 
+def _universe(subs):
+    """subs and Next(psi) for each until-like psi of subs, in (size, render)
+    order, a total order as render is injective on interned nodes; only
+    nodes of equal size are rendered, so a deep chain, one node per size,
+    never is."""
+    universe = set(subs)
+    universe.update(Next(s) for s in subs if type(s) in (Until, UntilLeq, ReleaseGeq))
+    by_size = {}
+    for f in universe:
+        by_size.setdefault(size(f), []).append(f)
+    return [f for n in sorted(by_size)
+            for f in (sorted(by_size[n], key=render) if len(by_size[n]) > 1 else by_size[n])]
+
+
 class _Translation:
     def __init__(self, phi, subs, alphabet, polarity):
         """subs is subformulas(phi)."""
@@ -84,17 +98,7 @@ class _Translation:
         kind = UntilLeq if polarity == "B" else ReleaseGeq
         index = {s: j for j, s in enumerate([s for s in subs if type(s) is kind], 1)}
         self.k = len(index)
-        universe = set(subs)
-        universe.update(Next(s) for s in subs if type(s) in (Until, UntilLeq, ReleaseGeq))
-        # (size, render) order, a total order as render is injective on
-        # interned nodes; only nodes of equal size are rendered, so a deep
-        # chain, one node per size, never is
-        by_size = {}
-        for f in universe:
-            by_size.setdefault(size(f), []).append(f)
-        self.nodes = nodes = []
-        for n in sorted(by_size):
-            nodes += sorted(by_size[n], key=render) if len(by_size[n]) > 1 else by_size[n]
+        nodes = _universe(subs)
         bit = {f: 1 << i for i, f in enumerate(nodes)}
 
         def mask(members):
@@ -218,7 +222,7 @@ class _Translation:
         order = sorted(range(len(masks)),
                        key=lambda y: (masks[y].bit_count(), list(_bits(masks[y]))))
         pos = {y: i for i, y in enumerate(order)}
-        names = [frozenset(map(self.nodes.__getitem__, _bits(masks[y]))) for y in order]
+        names = ["q%d" % i for i in range(len(order))]
         # transitions follow the state order, then letter and actions
         transitions = sorted({(pos[y], a, pos[z], actions)
                               for y, letters, actions, z in transitions for a in letters})

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,32 +233,48 @@ def test_serialization_roundtrip(fixture_automata):
 
 
 def test_serialization_roundtrip_translated():
-    aut = rename_states(ltl_to_b(parse("(a | X b) U# (b & X END)", AB), AB))
+    aut = ltl_to_b(parse("(a | X b) U# (b & X END)", AB), AB)
     assert loads_automaton(dumps_automaton(aut)) == aut
 
 
 def test_dumps_rejects_unwritable_state_names():
-    # translated states are sets of formulae; str() of one has spaces
+    # translated states are named q0, q1, ... as they are built, so they
+    # write as they are; a name given in process may not
     aut = ltl_to_b(parse("!a U# END", AB), AB)
+    assert loads_automaton(dumps_automaton(aut)) == aut
     with pytest.raises(ValueError, match="rename_states"):
-        dumps_automaton(aut)
-    renamed = rename_states(aut)
-    assert loads_automaton(dumps_automaton(renamed)) == renamed
-    with pytest.raises(ValueError, match="rename_states"):
-        dumps_automaton(dataclasses.replace(renamed, states=renamed.states + ("",)))
+        dumps_automaton(dataclasses.replace(aut, states=aut.states + ("",)))
 
 
 @pytest.mark.parametrize("states, letters, message", [
     (("p:1", "q"), "ab", "state name 'p:1' cannot be written"),
-    (("p", "q"), "a:", "letter name ':' cannot be written"),
+    pytest.param(("p", "q"), "a:", "reserved letter ':' in alphabet", id="colon letter"),
 ])
 def test_dumps_rejects_a_colon_in_a_state_or_letter(states, letters, message):
-    # the line "trans p:1 a q :" or "trans p : q :" would not read back
+    # the line "trans p:1 a q :" or "trans p : q :" would not read back;
+    # Alphabet refuses a ':' letter before any automaton holds it
     p, q = states
-    aut = CostAutomaton("B", Alphabet(letters), states, frozenset([p]), frozenset([q]), 0,
-                        ((p, letters[-1], (), q),))
     with pytest.raises(ValueError, match=message):
-        dumps_automaton(aut)
+        dumps_automaton(CostAutomaton("B", Alphabet(letters), states, frozenset([p]),
+                                      frozenset([q]), 0, ((p, letters[-1], (), q),)))
+
+
+@pytest.mark.parametrize("letter", "()^:")
+def test_reserved_letters_are_refused_by_alphabet_and_loaders(letter):
+    # ( ) and ^ belong to the sharp-expression syntax, : to the file formats
+    message = "^%s$" % re.escape("reserved letter %r in alphabet" % letter)
+    with pytest.raises(ValueError, match=message):
+        Alphabet("a" + letter)
+    with open(fixture("count-letter-s.aut"), encoding="utf-8") as fh:
+        aut_text = fh.read()
+    assert "\nalphabet ab\n" in aut_text
+    with pytest.raises(ValueError, match=message):
+        loads_automaton(aut_text.replace("\nalphabet ab\n", "\nalphabet ab%s\n" % letter))
+    with open(fixture("counting.sg"), encoding="utf-8") as fh:
+        sg_text = fh.read()
+    assert "\nh a a\n" in sg_text
+    with pytest.raises(ValueError, match=message):
+        loads_semigroup(sg_text.replace("\nh a a\n", "\nh a a\nh %s a\n" % letter))
 
 
 def test_rename_and_trim_preserve_function(fixture_automata):
@@ -485,6 +502,15 @@ def test_automaton_fault_texts_on_mutants_are_pinned():
     assert sum(1 for ln in lines if ln.endswith(": ok")) == 7
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "9b4e3362275ec861a8fb1bf4147fe16547fc8c9ee2a5c136b4dae90bcc22725a"
+
+
+def test_a_bad_token_on_identical_action_tuples_is_named_once():
+    # validate checks each distinct action tuple of the transitions once
+    text = ("costltl-format 1\nautomaton\nkind S\nalphabet ab\nstates p\ninitial p\n"
+            "final p\ncounters 1\ntrans p a p : ic\ntrans p b p : ic\n")
+    with pytest.raises(ValueError,
+                       match="^invalid automaton: token 'ic' invalid for a S-automaton$"):
+        loads_automaton(text)
 
 
 def test_loads_rejects_malformed_input():

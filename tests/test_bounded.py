@@ -137,16 +137,19 @@ def test_witnesses_classify_unbounded_on_counting_semigroup():
 
 
 def test_witness_over_digit_alphabet_reads_back():
-    # parse_expr reads digits and other non-alphabetic letters too
+    # parse_expr reads digits and punctuation too: every letter an alphabet
+    # accepts, as Alphabet refuses ( ) ^ and :
     with open(fixture("count-letter-s.aut"), encoding="utf-8") as fh:
-        text = fh.read().replace("alphabet ab", "alphabet 01")
-    text = text.replace(" a ", " 0 ").replace(" b ", " 1 ")
-    script = bounded_onthefly(loads_automaton(text)).script
-    rendered = _rendered(script)
-    assert rendered == "0^ws0"
-    expr = parse_expr(rendered)
-    for n in (1, 2, 3):
-        assert instantiate(expr, 1, n) == witness_word(script, n) == "0" * (n + 1)
+        fixture_text = fh.read()
+    for a, b in ("01", "-#"):
+        text = fixture_text.replace("alphabet ab", "alphabet %s%s" % (a, b))
+        text = text.replace(" a ", " %s " % a).replace(" b ", " %s " % b)
+        script = bounded_onthefly(loads_automaton(text)).script
+        rendered = _rendered(script)
+        assert rendered == "%s^ws%s" % (a, a)
+        expr = parse_expr(rendered)
+        for n in (1, 2, 3):
+            assert instantiate(expr, 1, n) == witness_word(script, n) == a * (n + 1)
 
 
 def test_compose_actions_per_counter():

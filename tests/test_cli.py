@@ -1,9 +1,12 @@
 """Command-line interface: verdicts, exit codes, file plumbing."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import costltl
 from costltl import (BoundednessResult, bounded_closure, eval_b, load_automaton, load_semigroup,
                      nltl_to_s, parse_expr, render_expr)
 from costltl.cli import main
@@ -435,6 +438,25 @@ def test_unknown_and_repeated_automaton_fields_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "eval-aut", "-a", str(path), "-w", "aab")
     assert code == 2 and out == ""
     assert "unknown field 'epsilom'" in err
+
+
+def test_fault_text_does_not_depend_on_hash_order(tmp_path):
+    # validate names states sorted by name and the loader keeps exits in
+    # file order, so no hash seed changes the text
+    path = tmp_path / "faults.aut"
+    path.write_text("costltl-format 1\nautomaton\nkind S\nalphabet ab\nstates p q r\n"
+                    "initial p x y\nfinal q r\ncounters 1\nexit q : i | i\nexit r : i | i\n",
+                    encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(costltl.__file__))
+    errs = set()
+    for seed in "0123":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "costltl.cli", "eval-aut", "-a", str(path),
+                               "-w", "a"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        errs.add(proc.stderr)
+    assert errs == {"error: invalid automaton: undeclared state 'x'; undeclared state 'y'; "
+                    "exit on 'q' has wrong counter arity; exit on 'r' has wrong counter arity\n"}
 
 
 def test_blank_alphabet_letter_is_rejected_everywhere(capsys, tmp_path):
